@@ -73,9 +73,13 @@ faults-golden:
 # concurrent TCP sessions byte-identical to batch decode, overload
 # rejection, poison isolation, drain under load — all race-enabled —
 # plus the wbserved drain loop and the wbload replay-equivalence client.
-# See README "Serving" and DESIGN.md §12.
+# The second, plain run of the serving package at GOMAXPROCS 1, 2 and 4
+# keeps the race detector's slowdown from hiding a scheduling bug, and
+# runs the allocation checks -race skips. See README "Serving" and
+# DESIGN.md §12.
 serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./cmd/wbserved/ ./cmd/wbload/
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/serve/
 
 # Wire-level chaos gate, race-enabled and always fresh: the fault-injecting
 # TCP proxy's compile-once determinism contract, and the wbload chaos runs —

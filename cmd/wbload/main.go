@@ -1,5 +1,5 @@
 // Command wbload is the load-generating client for wbserved: it replays
-// one wbtrace capture over many concurrent line-protocol sessions and
+// one wbtrace capture over many concurrent wbserve/1 sessions and
 // verifies that every served decode is byte-identical to the local batch
 // decoder's answer on the same trace — the serving layer must never
 // change a bit, no matter how many neighbors it is multiplexing.

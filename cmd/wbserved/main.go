@@ -1,5 +1,5 @@
 // Command wbserved is the decode-serving daemon: it listens for
-// line-protocol connections (see internal/serve's wire format), runs one
+// wbserve/1 connections (see internal/serve's wire format), runs one
 // streaming decoder per session under bounded admission and per-session
 // backpressure, and emits decoded bits back to each client the moment
 // its frame closes. SIGINT/SIGTERM trigger the graceful drain: the
@@ -45,7 +45,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:4711", "listen address")
 	maxSessions := flag.Int("max-sessions", serve.DefaultMaxSessions, "concurrent session cap (admission control)")
 	buffer := flag.Int("buffer", serve.DefaultSessionBuffer, "per-session measurement buffer (slot ring size)")
-	idle := flag.Duration("idle", 30*time.Second, "per-line read deadline; a silent session is flushed (0 disables)")
+	idle := flag.Duration("idle", 30*time.Second, "per-request read deadline; a silent session is flushed (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-response write deadline (0 disables)")
 	drain := flag.Duration("drain", serve.DefaultDrainTimeout, "hard deadline for the graceful drain")
 	resumeTTL := flag.Duration("resume-ttl", serve.DefaultResumeTTL, "how long a parked resume checkpoint survives")

@@ -11,13 +11,15 @@ import (
 )
 
 // Replay client: the wbserve/1 consumer side, shared by cmd/wbload and
-// the chaos tests. It drives one stream end to end and — for a
-// resumable session — survives any number of connection cuts by
-// reconnecting with "resume <token> <bits-received>" and continuing
-// from the server's acknowledged cursor. The resulting bit sequence is
-// byte-identical to an uninterrupted run: the server replays exactly
-// the suffix this client did not receive, and the client never counts
-// a truncated line (a cut mid-line re-receives that line on resume).
+// the chaos tests. It drives one stream end to end, sending every
+// measurement as a binary record (see wire.go), and — for a resumable
+// session — survives any number of connection cuts by reconnecting with
+// "resume <token> <bits-received>" and continuing from the server's
+// acknowledged cursor. The resulting bit sequence is byte-identical to
+// an uninterrupted run: the server replays exactly the suffix this
+// client did not receive, and neither side counts a truncated request
+// or response (a record cut mid-way is re-sent from the server's seq=
+// cursor, a line cut mid-way is re-received on resume).
 
 // Dialer opens one transport to the server; Replay re-invokes it on
 // every reconnect.
@@ -30,7 +32,10 @@ const DefaultMaxAttempts = 64
 type ReplayOptions struct {
 	// Params opens the session. Set Params.Resumable for cut survival.
 	Params SessionParams
-	// Measurements is the full stream to deliver, in order.
+	// Measurements is the full stream to deliver, in order. Each goes out
+	// as one binary record, so each must have the shape Params declares:
+	// Params.Antennas RSSI values and, in CSI mode, Params.Antennas rows
+	// of Params.Subchannels values.
 	Measurements []csi.Measurement
 	// MaxAttempts caps connection attempts (first try plus reconnects).
 	// Zero means DefaultMaxAttempts.
@@ -58,16 +63,27 @@ type ReplayStats struct {
 }
 
 // Replay drives one stream against a server until it yields a final
-// result or the attempt budget runs out. Note the write-then-read
-// phasing: the full measurement stream and the flush go out before
-// responses are drained, so the stream's response volume must fit the
-// transport buffers (fine for payload-scale streams; a bulk transfer
-// would need a reader goroutine).
+// result or the attempt budget runs out. Each attempt sends the hello
+// (or resume) line, one binary record per measurement not yet consumed,
+// then the flush line. Note the write-then-read phasing: the full
+// measurement stream and the flush go out before responses are drained,
+// so the stream's response volume must fit the transport buffers (fine
+// for payload-scale streams; a bulk transfer would need a reader
+// goroutine).
 func Replay(dial Dialer, opt ReplayOptions) (ReplayStats, error) {
 	var st ReplayStats
 	maxAttempts := opt.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = DefaultMaxAttempts
+	}
+	// Records carry no length, so a mis-shaped measurement would desync
+	// the stream; refuse it before opening a session.
+	want := RecordSize(opt.Params.Antennas, opt.Params.Subchannels)
+	for i := range opt.Measurements {
+		if recordSize(&opt.Measurements[i]) != want {
+			return st, fmt.Errorf("serve: measurement %d does not have the %d×%d shape the hello declares",
+				i, opt.Params.Antennas, opt.Params.Subchannels)
+		}
 	}
 	token := ""
 	var lastErr error
@@ -151,12 +167,11 @@ func replayAttempt(conn net.Conn, opt ReplayOptions, st *ReplayStats, token *str
 			skip = len(opt.Measurements)
 		}
 		bw := bufio.NewWriterSize(conn, 64<<10)
-		var mline []byte
+		var rec []byte
 		werr := error(nil)
 		for i := skip; i < len(opt.Measurements); i++ {
-			mline = AppendMeasurement(mline[:0], opt.Measurements[i])
-			mline = append(mline, '\n')
-			if _, werr = bw.Write(mline); werr != nil {
+			rec = AppendRecord(rec[:0], opt.Measurements[i])
+			if _, werr = bw.Write(rec); werr != nil {
 				break
 			}
 		}

@@ -8,13 +8,18 @@ import (
 	"repro/internal/serve"
 )
 
-// FuzzWireProtocol throws arbitrary lines at every wbserve/1 parser the
-// TCP front end exposes to the network. Two properties: no input may
-// panic a parser, and any line a parser accepts must survive a
-// format→reparse round trip — ParseHello/ParseResume reproduce the same
-// values, ParseMeasurement reaches a canonical form that re-formats
-// byte-identically (floats travel as strconv 'g'/-1, so NaN-safe byte
-// comparison is the right equality). The checked-in corpus under
+// FuzzWireProtocol throws arbitrary lines and records at every
+// wbserve/1 parser the TCP front end exposes to the network. Two
+// properties: no input may panic a parser, and any request a parser
+// accepts must survive a format→reparse round trip — ParseHello/
+// ParseResume reproduce the same values, ParseMeasurement reaches a
+// canonical form that re-formats byte-identically (floats travel as
+// strconv 'g'/-1, so NaN-safe byte comparison is the right equality),
+// and ParseRecord re-encodes to the identical bytes (records carry raw
+// float bits, so there is no canonical form to reach: every accepted
+// record already is one). Record inputs are the raw bytes, and also the
+// tag followed by the bytes cut or zero-padded to the record size, so
+// arbitrary bit patterns reach the decode. The checked-in corpus under
 // testdata/fuzz seeds the malformed shapes that found real bugs
 // (non-finite hello floats admitted past a "<= 0" check — see
 // SessionParams.Validate).
@@ -56,6 +61,10 @@ func FuzzWireProtocol(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	rec := serve.AppendRecord(nil, fuzzShape())
+	f.Add(rec)
+	f.Add(rec[:len(rec)/2])
+	f.Add([]byte{serve.RecordTag})
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if p, err := serve.ParseHello(line); err == nil {
 			rt, err2 := serve.ParseHello(serve.AppendHello(nil, p))
@@ -75,16 +84,10 @@ func FuzzWireProtocol(f *testing.F) {
 				t.Fatalf("resume round trip changed (%q,%d) to (%q,%d)", tok, have, tok2, have2)
 			}
 		}
-		m := csi.Measurement{
-			RSSI: make([]float64, 2),
-			CSI:  [][]float64{make([]float64, 4), make([]float64, 4)},
-		}
+		m := fuzzShape()
 		if err := serve.ParseMeasurement(line, &m); err == nil {
 			canon := serve.AppendMeasurement(nil, m)
-			m2 := csi.Measurement{
-				RSSI: make([]float64, 2),
-				CSI:  [][]float64{make([]float64, 4), make([]float64, 4)},
-			}
+			m2 := fuzzShape()
 			if err2 := serve.ParseMeasurement(canon, &m2); err2 != nil {
 				t.Fatalf("accepted m line %q did not reparse: %v", line, err2)
 			}
@@ -92,6 +95,26 @@ func FuzzWireProtocol(f *testing.F) {
 				t.Fatalf("m canonical form unstable: %q then %q", canon, again)
 			}
 		}
+		padded := make([]byte, serve.RecordSize(2, 4))
+		padded[0] = serve.RecordTag
+		copy(padded[1:], line)
+		for _, rec := range [][]byte{line, padded} {
+			m := fuzzShape()
+			if err := serve.ParseRecord(rec, &m); err == nil {
+				if again := serve.AppendRecord(nil, m); !bytes.Equal(rec, again) {
+					t.Fatalf("record %x re-encoded as %x", rec, again)
+				}
+			}
+		}
 		_, _ = serve.ParseResponse(line)
 	})
+}
+
+// fuzzShape is the 2-antenna, 4-sub-channel measurement every fuzzed
+// request parses into.
+func fuzzShape() csi.Measurement {
+	return csi.Measurement{
+		RSSI: make([]float64, 2),
+		CSI:  [][]float64{make([]float64, 4), make([]float64, 4)},
+	}
 }

@@ -82,18 +82,20 @@ func TestWatchdogAbortsOnlyStalledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The capture's tail past the frame end is shorter than the default
+	// slot ring, so these pushes never block on the parked worker.
 	for _, m := range series.Measurements {
 		if err := stalled.Push(m); err != nil {
 			t.Fatalf("Push: %v", err)
 		}
-		select {
-		case <-stuck.entered:
-			goto parked
-		default:
-		}
 	}
-	t.Fatal("frame never closed; synthetic capture too short")
-parked:
+	// The worker drains the ring asynchronously: the frame may close, and
+	// the worker park in the sink, well after the last Push returns.
+	select {
+	case <-stuck.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame never closed; synthetic capture too short")
+	}
 	// While that worker is parked, healthy sessions stream to completion.
 	for i := 0; i < 2; i++ {
 		sink := newMemSink()

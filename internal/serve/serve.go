@@ -163,7 +163,7 @@ type Config struct {
 	// SessionBuffer is the per-session measurement slot ring size. Zero
 	// means DefaultSessionBuffer.
 	SessionBuffer int
-	// IdleTimeout bounds the wait for the next line on a TCP connection;
+	// IdleTimeout bounds the wait for the next request on a TCP connection;
 	// a session that stops sending is flushed and closed. Zero (or a nil
 	// Now) disables deadlines.
 	IdleTimeout time.Duration
@@ -388,15 +388,16 @@ func (srv *Server) Open(p SessionParams, sink Sink) (*Session, error) {
 	if p.Resumable {
 		srv.registerResumableLocked(s)
 	}
-	active := len(srv.sessions)
 	srv.met.accepted.Add(1)
 	srv.met.decayStrain()
+	// Under srv.mu, so a later retire's store cannot be overwritten by
+	// this stale count.
+	srv.met.noteActive(len(srv.sessions))
 	srv.wg.Add(1)
 	srv.mu.Unlock()
 	if victim != nil {
 		srv.shed(victim)
 	}
-	srv.met.noteActive(active)
 	go s.loop()
 	return s, nil
 }
@@ -432,21 +433,21 @@ func (srv *Server) shed(s *Session) {
 	s.Finish()
 }
 
-// sessionClosed retires a finished session (its worker is exiting). A
-// resumable session's checkpoint is parked at this point — the recorded
-// bits and result stay replayable until TTL or capacity evicts them, so
-// a client cut between the server writing "done" and reading it can
-// still resume and re-receive the final lines.
+// sessionClosed retires a finished session (its worker is exiting); the
+// worker calls it before Done closes, so a caller that has the result
+// also sees the session no longer counted active. A resumable session's
+// checkpoint is parked at this point — the recorded bits and result stay
+// replayable until TTL or capacity evicts them, so a client cut between
+// the server writing "done" and reading it can still resume and
+// re-receive the final lines.
 func (srv *Server) sessionClosed(s *Session) {
 	srv.mu.Lock()
 	delete(srv.sessions, s)
-	active := len(srv.sessions)
+	srv.met.noteActive(len(srv.sessions))
 	if s.rs != nil {
 		srv.parkLocked(s)
 	}
 	srv.mu.Unlock()
-	srv.met.noteActive(active)
-	srv.wg.Done()
 }
 
 // Draining reports whether the server has left the running state.
@@ -526,6 +527,10 @@ func (srv *Server) Drain() error {
 	if !leaked {
 		finishers.Wait()
 	}
+	// Every session has delivered its final line. A handler still
+	// reading its connection would wait for a client with nothing left
+	// to send, so release it.
+	srv.closeConns()
 
 	srv.mu.Lock()
 	srv.state = stateClosed
@@ -554,15 +559,23 @@ func (srv *Server) abortRemaining() {
 	for s := range srv.sessions {
 		sessions = append(sessions, s)
 	}
-	conns := make([]closer, 0, len(srv.conns))
-	for c := range srv.conns {
-		conns = append(conns, c)
-	}
 	srv.mu.Unlock()
 	for _, s := range sessions {
 		s.abort()
 		srv.met.abortedSessions.Add(1)
 	}
+	srv.closeConns()
+}
+
+// closeConns closes every live transport, unblocking handlers stuck
+// mid-read.
+func (srv *Server) closeConns() {
+	srv.mu.Lock()
+	conns := make([]closer, 0, len(srv.conns))
+	for c := range srv.conns {
+		conns = append(conns, c)
+	}
+	srv.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
 	}

@@ -423,6 +423,7 @@ func (s *Session) finalize() {
 		}
 	}
 	s.sink.EmitResult(res, err)
-	close(s.done)
 	s.srv.sessionClosed(s)
+	close(s.done)
+	s.srv.wg.Done()
 }

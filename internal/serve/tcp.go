@@ -12,7 +12,7 @@ import (
 	"repro/internal/uplink"
 )
 
-// ServeTCP accepts line-protocol connections on l until the listener
+// ServeTCP accepts wbserve/1 connections on l until the listener
 // closes (net.ErrClosed returns nil — the daemon's shutdown path closes
 // the listener, then Drains). One goroutine per connection; admission is
 // still the Server's — a connection whose hello loses the Open race gets
@@ -78,12 +78,12 @@ func (lr *lineReader) scan() bool {
 }
 
 // handleConn runs one connection: hello (or resume) → session →
-// measurement lines → flush (or EOF / idle timeout, both of which
-// salvage the partial frame exactly like wbdecode does on a truncated
-// pipe — except for a resumable session, which parks its checkpoint for
-// a reconnect instead). The handler is the producer side; decoded bits
-// flow back from the session's worker through a mutex-serialized
-// connSink.
+// measurements (m lines or records) → flush (or EOF / idle timeout, both
+// of which salvage the partial frame exactly like wbdecode does on a
+// truncated pipe — except for a resumable session, which parks its
+// checkpoint for a reconnect instead). The handler is the producer
+// side; decoded bits flow back from the session's worker through a
+// mutex-serialized connSink.
 func (srv *Server) handleConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	defer srv.removeConn(conn)
@@ -157,25 +157,59 @@ func (srv *Server) handleResume(conn net.Conn, sink *connSink, lr *lineReader, l
 }
 
 // serveSession is the measurement loop shared by the hello and resume
-// paths.
+// paths. The first byte of each request picks its form: RecordTag means
+// a fixed-size binary record, decoded straight out of the read buffer;
+// anything else is a text line.
 func (srv *Server) serveSession(conn net.Conn, sink *connSink, lr *lineReader, sess *Session, gen uint32) {
 	scratch := newScratch(sess.Params())
+	recLen := recordSize(&scratch)
+	if recLen > lr.br.Size() {
+		// Wrapping keeps the bytes already buffered; Peek needs the whole
+		// record in one buffer.
+		lr.br = bufio.NewReaderSize(lr.br, recLen)
+	}
 	resumable := sess.rs != nil
 	for {
-		srv.stampReadDeadline(conn)
-		if !lr.scan() {
+		// Arm the idle deadline only before a request that may need a
+		// read: a record already whole in the buffer cannot block.
+		stamped := lr.br.Buffered() < recLen
+		if stamped {
+			srv.stampReadDeadline(conn)
+		}
+		lead, err := lr.br.Peek(1)
+		if err != nil {
 			break
 		}
-		line := lr.line
-		if len(line) == 0 {
-			continue
+		var perr error
+		if lead[0] == RecordTag {
+			// A record cut short (EOF, cut, idle deadline) fails the Peek
+			// and is dropped unparsed, like a partial line: the client
+			// re-sends it from the acknowledged cursor on resume.
+			rec, err := lr.br.Peek(recLen)
+			if err != nil {
+				break
+			}
+			perr = ParseRecord(rec, &scratch)
+			_, _ = lr.br.Discard(recLen)
+		} else {
+			if !stamped {
+				srv.stampReadDeadline(conn)
+			}
+			if !lr.scan() {
+				break
+			}
+			line := lr.line
+			if len(line) == 0 {
+				continue
+			}
+			if len(line) == 5 && string(line) == "flush" {
+				finishAndWait(sess)
+				return
+			}
+			perr = ParseMeasurement(line, &scratch)
 		}
-		if len(line) == 5 && string(line) == "flush" {
-			finishAndWait(sess)
-			return
-		}
-		if err := ParseMeasurement(line, &scratch); err != nil {
-			sink.control("error ", err.Error())
+		if perr != nil {
+			sink.control("error ", perr.Error())
 			finishAndWait(sess)
 			return
 		}
@@ -213,7 +247,7 @@ func finishAndWait(s *Session) {
 	<-s.Done()
 }
 
-// stampReadDeadline arms the per-line idle deadline, when configured.
+// stampReadDeadline arms the per-request idle deadline, when configured.
 func (srv *Server) stampReadDeadline(conn net.Conn) {
 	if srv.cfg.Now == nil || srv.cfg.IdleTimeout <= 0 {
 		return

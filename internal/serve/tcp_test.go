@@ -3,6 +3,8 @@ package serve_test
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -54,8 +56,22 @@ func runClient(t *testing.T, addr string, p serve.SessionParams, series *csi.Ser
 	return speak(conn, p, series, flush)
 }
 
-// speak runs the client side of the protocol on an open connection.
+// encoder formats the i-th measurement of a stream as one request.
+type encoder func(dst []byte, i int, m csi.Measurement) []byte
+
+// textLine sends every measurement as an m line.
+func textLine(dst []byte, _ int, m csi.Measurement) []byte {
+	return append(serve.AppendMeasurement(dst, m), '\n')
+}
+
+// speak runs the client side of the protocol on an open connection,
+// sending measurements as m lines.
 func speak(conn net.Conn, p serve.SessionParams, series *csi.Series, flush bool) (clientResult, error) {
+	return speakWith(conn, p, series, flush, textLine)
+}
+
+// speakWith is speak with a chosen request encoding.
+func speakWith(conn net.Conn, p serve.SessionParams, series *csi.Series, flush bool, enc encoder) (clientResult, error) {
 	var out clientResult
 	buf := serve.AppendHello(nil, p)
 	buf = append(buf, '\n')
@@ -75,9 +91,8 @@ func speak(conn net.Conn, p serve.SessionParams, series *csi.Series, flush bool)
 		return out, fmt.Errorf("hello answered with %q", r.Reason)
 	}
 	if series != nil {
-		for _, m := range series.Measurements {
-			buf = serve.AppendMeasurement(buf[:0], m)
-			buf = append(buf, '\n')
+		for i, m := range series.Measurements {
+			buf = enc(buf[:0], i, m)
 			if _, err := conn.Write(buf); err != nil {
 				return out, fmt.Errorf("measurement write: %w", err)
 			}
@@ -390,5 +405,245 @@ func TestTCPDrainUnderLoad(t *testing.T) {
 	}
 	if st.Aborted != 0 {
 		t.Errorf("drain aborted %d sessions; want graceful completion", st.Aborted)
+	}
+}
+
+// checkAgainstBatch asserts a session's streamed bits and done line match
+// the batch decode exactly.
+func checkAgainstBatch(t *testing.T, who string, bits []uplink.BitDecision, done serve.Response, want *uplink.Result) {
+	t.Helper()
+	if done.Kind != serve.RespDone {
+		t.Errorf("%s: final line was an error: %s", who, done.Reason)
+		return
+	}
+	wantBits := payloadString(want)
+	if done.Bits != wantBits {
+		t.Errorf("%s: done bits %s, batch decoded %s", who, done.Bits, wantBits)
+	}
+	if math.Float64bits(done.Corr) != math.Float64bits(want.PreambleCorrelation) ||
+		math.Float64bits(done.MPB) != math.Float64bits(want.MeasurementsPerBit) {
+		t.Errorf("%s: done corr=%v mpb=%v, batch corr=%v mpb=%v",
+			who, done.Corr, done.MPB, want.PreambleCorrelation, want.MeasurementsPerBit)
+	}
+	if len(bits) != len(wantBits) {
+		t.Errorf("%s: %d bit lines, want %d", who, len(bits), len(wantBits))
+		return
+	}
+	for i, b := range bits {
+		if b.Index != i || b.Bit != (wantBits[i] == '1') {
+			t.Errorf("%s: bit line %d = %+v disagrees with batch", who, i, b)
+		}
+	}
+}
+
+// TestTCPTextAndRecordClientsMatchBatch pins the two request encodings
+// to one result: a text-only client (AppendHello + AppendMeasurement),
+// a Replay client (binary records) and a client that alternates the two
+// within one session all get the batch decode's bits.
+func TestTCPTextAndRecordClientsMatchBatch(t *testing.T) {
+	payloadLen := 12
+	series := synthSeries(t, randomPayload(payloadLen, 88), 88)
+	want := batchDecode(t, series, payloadLen)
+	_, addr := startTCP(t, serve.Config{})
+
+	got, err := runClient(t, addr, testParams(payloadLen), series, true)
+	if err != nil {
+		t.Fatalf("text client: %v", err)
+	}
+	checkAgainstBatch(t, "text client", got.bits, got.done, want)
+
+	st, err := serve.Replay(func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		serve.ReplayOptions{Params: testParams(payloadLen), Measurements: series.Measurements})
+	if err != nil {
+		t.Fatalf("record client: %v", err)
+	}
+	checkAgainstBatch(t, "record client", st.Bits, st.Done, want)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	mixed := func(dst []byte, i int, m csi.Measurement) []byte {
+		if i%3 == 0 {
+			return textLine(dst, i, m)
+		}
+		return serve.AppendRecord(dst, m)
+	}
+	got, err = speakWith(conn, testParams(payloadLen), series, true, mixed)
+	if err != nil {
+		t.Fatalf("mixed client: %v", err)
+	}
+	checkAgainstBatch(t, "mixed client", got.bits, got.done, want)
+}
+
+// TestTCPRecordCutAtEveryOffset cuts a resumable session at every byte
+// offset of one in-frame record. The server must drop the partial record
+// unparsed — the resume acknowledgment reports exactly the complete
+// records as consumed — and the resumed session must still decode
+// byte-identical to batch.
+func TestTCPRecordCutAtEveryOffset(t *testing.T) {
+	payloadLen := 12
+	series := synthSeries(t, randomPayload(payloadLen, 89), 89)
+	want := batchDecode(t, series, payloadLen)
+	p := resumableParams(payloadLen)
+	recLen := serve.RecordSize(p.Antennas, p.Subchannels)
+	// Cut inside the frame's preamble: a wrongly pushed measurement there
+	// would move the decode, and no bit has been emitted yet.
+	k := 0
+	for k < series.Len() && series.Measurements[k].Timestamp < testStart+5*testBitDur {
+		k++
+	}
+	srv, addr := startTCP(t, serve.Config{TokenSeed: 5})
+
+	var head []byte
+	for _, m := range series.Measurements[:k] {
+		head = serve.AppendRecord(head, m)
+	}
+	cutRec := serve.AppendRecord(nil, series.Measurements[k])
+	for off := 0; off < recLen; off++ {
+		// First connection: hello, k complete records, then off bytes of
+		// record k, then a clean half-close.
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		ack := helloAck(t, conn, br, append(serve.AppendHello(nil, p), '\n'))
+		if ack.Token == "" || ack.Seq != 0 {
+			t.Fatalf("offset %d: hello acknowledged with %+v", off, ack)
+		}
+		req := append(append([]byte(nil), head...), cutRec[:off]...)
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		if rest, _ := io.ReadAll(br); len(rest) != 0 {
+			t.Fatalf("offset %d: server answered a cut mid-preamble with %q", off, rest)
+		}
+		_ = conn.Close()
+
+		// Resume: the acknowledged cursor counts only complete records.
+		conn, err = net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br = bufio.NewReader(conn)
+		ack = helloAck(t, conn, br, append(serve.AppendResume(nil, ack.Token, 0), '\n'))
+		if ack.Seq != int64(k) {
+			t.Fatalf("offset %d: resume acknowledged seq=%d, want the %d complete records", off, ack.Seq, k)
+		}
+		var tail []byte
+		for _, m := range series.Measurements[ack.Seq:] {
+			tail = serve.AppendRecord(tail, m)
+		}
+		tail = append(tail, "flush\n"...)
+		if _, err := conn.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		var bits []uplink.BitDecision
+		var done serve.Response
+		for {
+			line, err := br.ReadBytes('\n')
+			if err != nil {
+				t.Fatalf("offset %d: resumed session ended without a final line: %v", off, err)
+			}
+			r, err := serve.ParseResponse(line[:len(line)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Kind == serve.RespBit {
+				bits = append(bits, r.Bit)
+				continue
+			}
+			done = r
+			break
+		}
+		_ = conn.Close()
+		checkAgainstBatch(t, fmt.Sprintf("cut at offset %d", off), bits, done, want)
+	}
+	if got, wantN := srv.Stats().Measurements, int64(recLen*series.Len()); got != wantN {
+		t.Errorf("server accepted %d measurements over %d sessions of %d, want %d",
+			got, recLen, series.Len(), wantN)
+	}
+}
+
+// helloAck sends one hello or resume line and returns the ok it draws.
+func helloAck(t *testing.T, conn net.Conn, br *bufio.Reader, line []byte) serve.Response {
+	t.Helper()
+	if _, err := conn.Write(line); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no acknowledgment: %v", err)
+	}
+	r, err := serve.ParseResponse(resp[:len(resp)-1])
+	if err != nil || r.Kind != serve.RespOK {
+		t.Fatalf("acknowledgment %q: %v", resp, err)
+	}
+	return r
+}
+
+// TestReplayRefusesMisshapedMeasurement pins the client-side guard:
+// records carry no length, so a measurement that does not match the
+// hello's shape is refused before any connection opens.
+func TestReplayRefusesMisshapedMeasurement(t *testing.T) {
+	payloadLen := 8
+	series := synthSeries(t, randomPayload(payloadLen, 90), 90)
+	ms := append([]csi.Measurement(nil), series.Measurements...)
+	ms[3].RSSI = ms[3].RSSI[:1]
+	dials := 0
+	_, err := serve.Replay(func() (net.Conn, error) {
+		dials++
+		return nil, fmt.Errorf("unreachable")
+	}, serve.ReplayOptions{Params: testParams(payloadLen), Measurements: ms})
+	if err == nil || !strings.Contains(err.Error(), "measurement 3") {
+		t.Errorf("Replay of a mis-shaped stream = %v, want a measurement 3 shape error", err)
+	}
+	if dials != 0 {
+		t.Errorf("Replay dialed %d times for a stream it must refuse", dials)
+	}
+}
+
+// TestTCPRecordLargerThanReadBuffer sends records of the widest shapes
+// the hello admits, larger than the connection's 64 KiB read buffer:
+// the server must still take each one whole.
+func TestTCPRecordLargerThanReadBuffer(t *testing.T) {
+	p := testParams(8)
+	p.Antennas, p.Subchannels = 8, 1024
+	if size := serve.RecordSize(p.Antennas, p.Subchannels); size <= 64<<10 {
+		t.Fatalf("record of %d bytes fits the read buffer; widen the shape", size)
+	}
+	srv, addr := startTCP(t, serve.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	br := bufio.NewReader(conn)
+	helloAck(t, conn, br, append(serve.AppendHello(nil, p), '\n'))
+	var req []byte
+	const n = 3
+	for i := 0; i < n; i++ {
+		m := csi.Measurement{Timestamp: 0.1 * float64(i+1), RSSI: make([]float64, p.Antennas)}
+		for a := 0; a < p.Antennas; a++ {
+			m.CSI = append(m.CSI, make([]float64, p.Subchannels))
+		}
+		req = serve.AppendRecord(req, m)
+	}
+	req = append(req, "flush\n"...)
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	// Every measurement precedes the frame, so the final line may be a
+	// done or an error; either way it comes after all three pushes.
+	if _, err := br.ReadBytes('\n'); err != nil {
+		t.Fatalf("no final line: %v", err)
+	}
+	if got := srv.Stats().Measurements; got != n {
+		t.Errorf("server accepted %d measurements, want %d", got, n)
 	}
 }

@@ -1,14 +1,17 @@
 package serve
 
-// The line protocol: newline-delimited ASCII, one request or response
-// per line, floats printed with strconv 'g'/-1 so every value round-trips
-// exactly (byte-identical decode is an acceptance criterion, so the wire
-// must not quantize).
+// The wire protocol: newline-delimited ASCII for every request and
+// response, plus one fixed-size binary request form for measurements.
+// Text floats are printed with strconv 'g'/-1 and records carry raw
+// IEEE-754 bits, so every value round-trips exactly either way
+// (byte-identical decode is an acceptance criterion, so the wire must not
+// quantize).
 //
 //	client → server
 //	  hello wbserve/1 <csi|rssi> <bitrate> <start> <payload-bits> <antennas> <subchannels> [prio=<0-9>] [resume=1]
 //	  resume wbserve/1 <token> <bits-received>
 //	  m <timestamp> <rssi per antenna ...> <csi antenna-major ...>
+//	  <record>
 //	  flush
 //	server → client
 //	  ok <session-id>                                      (plain session)
@@ -17,6 +20,17 @@ package serve
 //	  bit <index> <0|1> <measurements>
 //	  done <payload bitstring|-> corr=<f> mpb=<f>
 //	  error <message ...>
+//
+// A <record> is the binary twin of an m line: the tag byte RecordTag
+// (0xFB, which no text request can start with), then the little-endian
+// float64 bits of the timestamp, the RSSI per antenna and the CSI
+// antenna-major — RecordSize(antennas, subchannels) bytes, 753 for 3×30.
+// The hello already fixes the shape, so a record has no length prefix
+// and no terminator, and needs no negotiation: after the hello the
+// server looks at the first byte of each request and takes the record
+// path on the tag, the line path on anything else. A session may mix
+// both forms. A record cut short by EOF or the idle deadline is dropped
+// unparsed, exactly like a partial line.
 //
 // Resumable sessions (hello option resume=1) get a stable token on the
 // ok line. After a cut the client reconnects and sends a resume line
@@ -28,12 +42,15 @@ package serve
 // token) so wire byte offsets stay reproducible under chaos schedules.
 //
 // The parse helpers here serve both sides: the TCP front end parses
-// hello/m lines into preallocated shapes, and load clients (cmd/wbload)
-// format requests with the Append helpers and parse responses with
-// ParseResponse.
+// hello/m lines and records into preallocated shapes, and load clients
+// (cmd/wbload) format requests with the Append helpers and parse
+// responses with ParseResponse.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/csi"
@@ -285,6 +302,74 @@ func AppendMeasurement(dst []byte, m csi.Measurement) []byte {
 		}
 	}
 	return dst
+}
+
+// RecordTag opens a binary measurement record. Text requests are ASCII,
+// so a non-ASCII first byte is unambiguous.
+const RecordTag byte = 0xFB
+
+// RecordSize is the byte length of one record for the given shape: the
+// tag plus one float64 per timestamp, RSSI and CSI value.
+func RecordSize(antennas, subchannels int) int {
+	return 1 + 8*(1+antennas+antennas*subchannels)
+}
+
+// recordSize is RecordSize for m's shape.
+func recordSize(m *csi.Measurement) int {
+	n := 1 + len(m.RSSI)
+	for a := range m.CSI {
+		n += len(m.CSI[a])
+	}
+	return 1 + 8*n
+}
+
+// AppendRecord formats m as a binary record (client side). With dst
+// sized to RecordSize it does not allocate.
+func AppendRecord(dst []byte, m csi.Measurement) []byte {
+	n, size := len(dst), recordSize(&m)
+	dst = slices.Grow(dst, size)[:n+size]
+	b := dst[n:]
+	b[0] = RecordTag
+	binary.LittleEndian.PutUint64(b[1:], math.Float64bits(m.Timestamp))
+	b = b[9:]
+	for _, v := range m.RSSI {
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+		b = b[8:]
+	}
+	for _, row := range m.CSI {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+			b = b[8:]
+		}
+	}
+	return dst
+}
+
+// ParseRecord decodes one binary record into a preallocated measurement
+// whose shape declares the expected length; rec must hold exactly one
+// record. The measurement is overwritten in place.
+func ParseRecord(rec []byte, m *csi.Measurement) error {
+	if want := recordSize(m); len(rec) != want {
+		return fmt.Errorf("serve: record is %d bytes, the declared shape needs %d", len(rec), want)
+	}
+	if rec[0] != RecordTag {
+		return fmt.Errorf("serve: record tag %#x, want %#x", rec[0], RecordTag)
+	}
+	b := rec[1:]
+	m.Timestamp = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	b = b[8:]
+	for a := range m.RSSI {
+		m.RSSI[a] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	for a := range m.CSI {
+		row := m.CSI[a]
+		for k := range row {
+			row[k] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+		}
+	}
+	return nil
 }
 
 // ResponseKind discriminates parsed server lines.

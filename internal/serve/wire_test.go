@@ -138,3 +138,75 @@ func TestParseResponseKinds(t *testing.T) {
 		}
 	}
 }
+
+// recordShaped returns a zeroed measurement of the given shape.
+func recordShaped(antennas, subchannels int) csi.Measurement {
+	m := csi.Measurement{RSSI: make([]float64, antennas), CSI: make([][]float64, antennas)}
+	for a := range m.CSI {
+		m.CSI[a] = make([]float64, subchannels)
+	}
+	return m
+}
+
+func TestRecordRoundTripBitExact(t *testing.T) {
+	// Records carry raw IEEE-754 bits, so even values the text form
+	// canonicalizes (NaN payloads, the sign of zero) survive untouched.
+	src := csi.Measurement{
+		Timestamp: 1.0000000000000002,
+		RSSI:      []float64{math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1)},
+		CSI: [][]float64{
+			{math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64},
+			{math.Float64frombits(0x000f_ffff_ffff_ffff), -1.0 / 3, 12345.678901234567},
+		},
+	}
+	rec := AppendRecord(nil, src)
+	if len(rec) != RecordSize(2, 3) || len(rec) != 1+8*(1+2+2*3) {
+		t.Fatalf("record is %d bytes, RecordSize(2, 3) = %d", len(rec), RecordSize(2, 3))
+	}
+	if rec[0] != RecordTag {
+		t.Fatalf("record starts with %#x, want the tag %#x", rec[0], RecordTag)
+	}
+	got := recordShaped(2, 3)
+	if err := ParseRecord(rec, &got); err != nil {
+		t.Fatalf("ParseRecord: %v", err)
+	}
+	same := func(name string, a, b float64) {
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: bits %#016x, want %#016x", name, math.Float64bits(a), math.Float64bits(b))
+		}
+	}
+	same("timestamp", got.Timestamp, src.Timestamp)
+	for a := range src.RSSI {
+		same("rssi", got.RSSI[a], src.RSSI[a])
+		for k := range src.CSI[a] {
+			same("csi", got.CSI[a][k], src.CSI[a][k])
+		}
+	}
+}
+
+func TestParseRecordErrors(t *testing.T) {
+	src := recordShaped(3, 30)
+	rec := AppendRecord(nil, src)
+	if len(rec) != 753 {
+		t.Fatalf("3×30 record is %d bytes, want 753", len(rec))
+	}
+	m := recordShaped(3, 30)
+	bad := append([]byte(nil), rec...)
+	bad[0] = 'm'
+	if err := ParseRecord(bad, &m); err == nil {
+		t.Error("record with a wrong tag accepted")
+	}
+	if err := ParseRecord(rec[:len(rec)-1], &m); err == nil {
+		t.Error("short record accepted")
+	}
+	if err := ParseRecord(nil, &m); err == nil {
+		t.Error("empty record accepted")
+	}
+	if err := ParseRecord(append(rec, 0), &m); err == nil {
+		t.Error("record with a trailing byte accepted")
+	}
+	other := recordShaped(2, 30)
+	if err := ParseRecord(rec, &other); err == nil {
+		t.Error("record accepted into a measurement of another shape")
+	}
+}
