@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleCodec -fuzztime=10s ./internal/faults/
 	$(GO) test -fuzz=FuzzStreamPush -fuzztime=10s ./internal/uplink/
 	$(GO) test -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/serve/
+	$(GO) test -fuzz=FuzzConditionTwoPass -fuzztime=10s ./internal/dsp/
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -46,8 +47,14 @@ bench:
 # per-frame cost with -benchmem, and the same package run re-asserts
 # TestStreamPushSteadyStateAllocs (steady-state Push must not allocate —
 # the test is skipped under -race, so this plain-build run is the gate).
+# BenchmarkCondition* times the conditioning kernel alone, frame-decode
+# shaped case included. The last, plain run of the dsp and uplink packages
+# at GOMAXPROCS 1, 2 and 4 re-checks the bit-exact kernel oracle and the
+# pool's allocation-free round trip (sync.Pool caches per P) at each.
 bench-stream:
 	$(GO) test -bench 'BenchmarkStream' -benchmem -run TestStreamPushSteadyStateAllocs ./internal/uplink/
+	$(GO) test -run xxx -bench BenchmarkCondition -benchmem ./internal/dsp/
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/dsp/ ./internal/uplink/
 
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte

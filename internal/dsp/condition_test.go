@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,4 +224,203 @@ func TestConditionTwoPassMatchesSinglePassOnBalanced(t *testing.T) {
 			t.Fatalf("sign disagreement at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// The ref* functions below are the unfused conditioning chain the fused
+// kernel replaced, kept verbatim as the bit-exactness oracle: a moving
+// average from prefix sums, a separate subtraction, MeanAbs passes and a
+// materialized decision-directed series per refinement.
+
+func refMovingAverageInto(dst, xs []float64, window int) {
+	if window <= 1 {
+		copy(dst, xs)
+		return
+	}
+	half := window / 2
+	prefix := make([]float64, len(xs)+1)
+	for i, x := range xs {
+		prefix[i+1] = prefix[i] + x
+	}
+	for i := range xs {
+		lo := i - half
+		if lo < 0 {
+			lo = 0
+		}
+		hi := i + half + 1
+		if hi > len(xs) {
+			hi = len(xs)
+		}
+		dst[i] = (prefix[hi] - prefix[lo]) / float64(hi-lo)
+	}
+}
+
+func refRemoveTrendInto(dst, xs []float64, window int) {
+	avg := make([]float64, len(xs))
+	refMovingAverageInto(avg, xs, window)
+	for i, x := range xs {
+		dst[i] = x - avg[i]
+	}
+}
+
+func refNormalizeInPlace(xs []float64) {
+	scale := MeanAbs(xs)
+	if scale == 0 {
+		for i := range xs {
+			xs[i] = 0
+		}
+		return
+	}
+	for i := range xs {
+		xs[i] /= scale
+	}
+}
+
+func refConditionInto(dst, xs []float64, window int) {
+	refRemoveTrendInto(dst, xs, window)
+	refNormalizeInPlace(dst)
+}
+
+func refConditionTwoPassInto(dst, xs []float64, window int) {
+	resid := dst
+	refRemoveTrendInto(resid, xs, window)
+	demod := make([]float64, len(xs))
+	baseline := make([]float64, len(xs))
+	for iter := 0; iter < 2; iter++ {
+		amp := MeanAbs(resid)
+		if amp == 0 {
+			break
+		}
+		for i, r := range resid {
+			if r >= 0 {
+				demod[i] = xs[i] - amp
+			} else {
+				demod[i] = xs[i] + amp
+			}
+		}
+		refMovingAverageInto(baseline, demod, window)
+		for i := range xs {
+			resid[i] = xs[i] - baseline[i]
+		}
+	}
+	refNormalizeInPlace(resid)
+}
+
+// conditionKernels pairs each fused entry point with its oracle.
+var conditionKernels = []struct {
+	name      string
+	got, want func(dst, xs []float64, window int)
+}{
+	{"RemoveTrendInto", RemoveTrendInto, refRemoveTrendInto},
+	{"ConditionInto", ConditionInto, refConditionInto},
+	{"ConditionTwoPassInto", ConditionTwoPassInto, refConditionTwoPassInto},
+}
+
+// checkBitExact runs every kernel on xs and fails on the first output
+// whose bits differ from the oracle's. dst starts as NaN so a kernel that
+// read stale output before writing it would show.
+func checkBitExact(t *testing.T, label string, xs []float64, window int) {
+	t.Helper()
+	for _, k := range conditionKernels {
+		want := make([]float64, len(xs))
+		k.want(want, xs, window)
+		got := make([]float64, len(xs))
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		k.got(got, xs, window)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s %s n=%d window=%d: [%d] = %v (%#x), oracle %v (%#x)",
+					k.name, label, len(xs), window, i,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// driftSquare is a slow drift under a ±1 square wave of period 10,
+// scaled by scale: the shape the decoder conditions.
+func driftSquare(n int, scale float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		sq := 1.0
+		if (i/5)%2 == 1 {
+			sq = -1
+		}
+		xs[i] = scale * (10 + 0.003*float64(i) + sq + 0.1*math.Sin(float64(i)*0.7))
+	}
+	return xs
+}
+
+// TestConditionKernelsBitExact pins the fused conditioning kernel to the
+// unfused oracle bit for bit, across edge-case lengths, every window regime
+// (copy, even, odd, clipped at or beyond the series) and series that reach
+// the constant, exact-zero-residual, huge, subnormal and non-finite paths.
+func TestConditionKernelsBitExact(t *testing.T) {
+	series := []struct {
+		label string
+		gen   func(n int) []float64
+	}{
+		{"constant", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 7.25
+			}
+			return xs
+		}},
+		{"drift+square", func(n int) []float64 { return driftSquare(n, 1) }},
+		// Integer runs keep every prefix sum exact, so residuals inside a
+		// run are exactly +0 while the steps are not: the r >= 0 tie.
+		{"integer runs", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64((i / 20) % 2 * 4)
+			}
+			return xs
+		}},
+		{"1e6", func(n int) []float64 { return driftSquare(n, 1e6) }},
+		{"subnormal", func(n int) []float64 { return driftSquare(n, 1e-310) }},
+		{"inf+nan", func(n int) []float64 {
+			xs := driftSquare(n, 1)
+			for i := range xs {
+				switch i % 37 {
+				case 3:
+					xs[i] = math.Inf(1)
+				case 17:
+					xs[i] = math.Inf(-1)
+				case 29:
+					xs[i] = math.NaN()
+				}
+			}
+			return xs
+		}},
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 13, 100, 10300} {
+		windows := []int{-1, 0, 1, 2, 3, 7, 8, 41, 400, n, n + 1, 2*n + 1, 2*n + 2}
+		for _, s := range series {
+			xs := s.gen(n)
+			for _, w := range windows {
+				checkBitExact(t, s.label, xs, w)
+			}
+		}
+	}
+}
+
+// fuzzFloats reads data as little-endian float64 bit patterns, so the
+// fuzzer reaches every NaN payload, infinity and subnormal.
+func fuzzFloats(data []byte) []float64 {
+	xs := make([]float64, len(data)/8)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return xs
+}
+
+// FuzzConditionTwoPass checks the fused kernels against the unfused oracle
+// bit for bit on arbitrary series and windows. Seed corpus:
+// testdata/fuzz/FuzzConditionTwoPass.
+func FuzzConditionTwoPass(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, window int16) {
+		checkBitExact(t, "fuzz", fuzzFloats(data), int(window))
+	})
 }

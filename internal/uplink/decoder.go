@@ -212,15 +212,20 @@ func frameRange(ts []float64, start, end float64) (lo, hi int) {
 func analyzeChannel(id ChannelID, raw []float64, ts []float64, bins [][]int, cfg Config) channelStats {
 	cond := dsp.GetSlice(len(raw))
 	dsp.ConditionTwoPassInto(cond, raw, windowSamples(ts, cfg.windowFor(len(bins))))
-	means, ok := binMeans(cond, bins)
-	// Preamble correlation over the first 13 bit bins.
+	// Preamble correlation over the first 13 bit bins. Only their means
+	// are needed, averaged as binMeans does; empty bins are skipped.
 	var dot, mm, pp float64
-	for j := 0; j < len(preambleLevels) && j < len(means); j++ {
-		if !ok[j] {
+	for j := 0; j < len(preambleLevels) && j < len(bins); j++ {
+		if len(bins[j]) == 0 {
 			continue
 		}
-		dot += means[j] * preambleLevels[j]
-		mm += means[j] * means[j]
+		var sum float64
+		for _, i := range bins[j] {
+			sum += cond[i]
+		}
+		mean := sum / float64(len(bins[j]))
+		dot += mean * preambleLevels[j]
+		mm += mean * mean
 		pp += preambleLevels[j] * preambleLevels[j]
 	}
 	//wblint:ignore PH003 ownership transfers to the caller inside channelStats; released in a batch by releaseStats (or the DecodeSingleChannel defer) after combining
