@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream metrics-golden chaos faults-golden serve chaos-serve check
+.PHONY: all build vet test lint race fuzz bench bench-stream bench-sim metrics-golden chaos faults-golden serve chaos-serve check
 
 all: check
 
@@ -56,6 +56,17 @@ bench-stream:
 	$(GO) test -run xxx -bench BenchmarkCondition -benchmem ./internal/dsp/
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/dsp/ ./internal/uplink/
 
+# Channel synthesis contract: BenchmarkMultiChannelObserve reports one
+# measurement's Observe (fresh rows) and ObserveInto (reused buffer) with
+# -benchmem, and the same run re-asserts TestObserveIntoAllocs (a warmed
+# ObserveInto must not allocate; skipped under -race, so this plain run is
+# the gate). The last, plain run of the radio and core packages at
+# GOMAXPROCS 1, 2 and 4 re-checks the bit-exact channel oracle against the
+# direct per-tap evaluation at each.
+bench-sim:
+	$(GO) test -run TestObserveIntoAllocs -bench BenchmarkMultiChannelObserve -benchmem ./internal/radio/
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/radio/ ./internal/core/
+
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte
 # and be identical at every -workers value. Regenerate after an intentional
@@ -97,4 +108,4 @@ chaos-serve:
 	$(GO) test -race -count=1 ./internal/serve/chaosproxy/
 	$(GO) test -race -count=1 -run 'TestChaos' ./cmd/wbload/
 
-check: vet build lint race fuzz bench-stream metrics-golden chaos faults-golden serve chaos-serve
+check: vet build lint race fuzz bench-stream bench-sim metrics-golden chaos faults-golden serve chaos-serve

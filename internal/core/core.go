@@ -113,7 +113,8 @@ type System struct {
 	envStream  *rng.Stream
 	faults     *faults.Injector
 	mods       []*tag.Modulator // per-tag active transmission (nil = idle)
-	states     []bool           // scratch buffer for Observe
+	states     []bool           // scratch buffer for ObserveInto
+	h          [][]complex128   // channel snapshot ObserveInto refills per measurement
 	series     csi.Series
 	placements map[*wifi.Station]placement
 	txLog      []*wifi.Transmission
@@ -163,6 +164,10 @@ func NewSystem(cfg Config) (*System, error) {
 		placements: make(map[*wifi.Station]placement),
 		mods:       make([]*tag.Modulator, 1),
 		states:     make([]bool, 1),
+		h:          make([][]complex128, channel.Antennas()),
+	}
+	for a := range s.h {
+		s.h[a] = make([]complex128, channel.Subchannels())
 	}
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		// The injector gets its own stream derived from the seed by a
@@ -204,18 +209,19 @@ func NewSystem(cfg Config) (*System, error) {
 		for i, mod := range s.mods {
 			s.states[i] = mod != nil && mod.StateAt(at)
 		}
-		h, herr := s.Channel.Observe(at, s.states)
-		if herr != nil {
+		if herr := s.Channel.ObserveInto(s.h, at, s.states); herr != nil {
 			// Programmer-error assert: s.states and the channel's tag
-			// set are resized together in AddTag, so a mismatch here is
-			// a bug in this file, not reachable from user input.
+			// set are resized together in AddTag, and s.h is shaped to
+			// the channel here, so a mismatch is a bug in this file, not
+			// reachable from user input.
 			panic(herr)
 		}
-		// Fades attenuate the observed channel before the card measures
-		// it; measurement corruption runs after, so the card's own noise
-		// stream stays aligned with the clean run.
-		s.faults.AttenuateChannel(at, h)
-		m := s.Card.Measure(at, h)
+		// Fades attenuate the observed channel in place before the card
+		// measures it; measurement corruption runs after, so the card's
+		// own noise stream stays aligned with the clean run. Measure
+		// copies out of s.h, so the buffer never outlives this packet.
+		s.faults.AttenuateChannel(at, s.h)
+		m := s.Card.Measure(at, s.h)
 		if s.faults.CorruptMeasurement(at, &m) {
 			return // the flaky capture path dropped this packet's report
 		}

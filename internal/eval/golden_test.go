@@ -88,10 +88,10 @@ func renderGolden(spec goldenSpec, sent []bool, res *uplink.Result, dec *uplink.
 	return b.String()
 }
 
-// decodeGoldenTrace reads a trace off disk and runs the paper's CSI decode
+// decodeGoldenTrace reads a trace from dir and runs the paper's CSI decode
 // at the spec's operating point.
-func decodeGoldenTrace(spec goldenSpec) ([]bool, *uplink.Result, *uplink.Decoder, error) {
-	f, err := os.Open(filepath.Join("testdata", spec.name+".wbtrace"))
+func decodeGoldenTrace(spec goldenSpec, dir string) ([]bool, *uplink.Result, *uplink.Decoder, error) {
+	f, err := os.Open(filepath.Join(dir, spec.name+".wbtrace"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -116,11 +116,11 @@ func TestGoldenTraces(t *testing.T) {
 	for _, spec := range goldenSpecs {
 		t.Run(spec.name, func(t *testing.T) {
 			if *updateGolden {
-				if err := writeGoldenFiles(spec); err != nil {
+				if err := writeGoldenFiles(spec, "testdata"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			sent, res, dec, err := decodeGoldenTrace(spec)
+			sent, res, dec, err := decodeGoldenTrace(spec, "testdata")
 			if err != nil {
 				t.Fatalf("decode recorded trace: %v (run with -update to regenerate)", err)
 			}
@@ -136,10 +136,42 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// writeGoldenFiles regenerates one spec's trace and expectation files. The
-// golden expectations are computed from the trace as re-read from disk, so
-// the stored text always matches what TestGoldenTraces will compute.
-func writeGoldenFiles(spec goldenSpec) error {
+// TestGoldenTracesRegenerate pins the simulator's side of the goldens:
+// regenerating each recorded trace from its spec must reproduce the
+// checked-in files byte for byte. The wbtrace codec writes shortest
+// round-trip floats, so any change to a simulated CSI or RSSI value — in
+// the channel, the card or the MAC timing — shows up here even when the
+// decoder would still recover the same bits.
+func TestGoldenTracesRegenerate(t *testing.T) {
+	for _, spec := range goldenSpecs {
+		t.Run(spec.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := writeGoldenFiles(spec, dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, ext := range []string{".wbtrace", ".golden"} {
+				got, err := os.ReadFile(filepath.Join(dir, spec.name+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(filepath.Join("testdata", spec.name+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("regenerated %s%s differs from testdata (%d vs %d bytes)",
+						spec.name, ext, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// writeGoldenFiles regenerates one spec's trace and expectation files into
+// dir. The golden expectations are computed from the trace as re-read from
+// disk, so the stored text always matches what TestGoldenTraces will
+// compute.
+func writeGoldenFiles(spec goldenSpec, dir string) error {
 	sys, err := core.NewSystem(core.Config{
 		Seed:              spec.seed,
 		TagReaderDistance: spec.distance,
@@ -163,7 +195,7 @@ func writeGoldenFiles(spec goldenSpec) error {
 	}
 	sys.Run(mod.End() + 0.2)
 	trimmed := trimSeries(sys.Series(), mod.Start()-0.05, mod.End()+0.05)
-	f, err := os.Create(filepath.Join("testdata", spec.name+".wbtrace"))
+	f, err := os.Create(filepath.Join(dir, spec.name+".wbtrace"))
 	if err != nil {
 		return err
 	}
@@ -174,11 +206,11 @@ func writeGoldenFiles(spec goldenSpec) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	sent, res, dec, err := decodeGoldenTrace(spec)
+	sent, res, dec, err := decodeGoldenTrace(spec, dir)
 	if err != nil {
 		return fmt.Errorf("regenerated trace does not decode: %w", err)
 	}
-	return os.WriteFile(filepath.Join("testdata", spec.name+".golden"),
+	return os.WriteFile(filepath.Join(dir, spec.name+".golden"),
 		[]byte(renderGolden(spec, sent, res, dec)), 0o644)
 }
 

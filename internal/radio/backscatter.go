@@ -1,11 +1,6 @@
 package radio
 
-import (
-	"fmt"
-
-	"repro/internal/rng"
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // Geometry places the three actors of a Wi-Fi Backscatter link. Distances
 // follow the paper's experiments: the helper sits meters away while the
@@ -70,107 +65,4 @@ func DefaultChannelConfig() ChannelConfig {
 		Antenna:           DefaultTagAntenna(),
 		CSIScale:          5000,
 	}
-}
-
-// Channel is the composite uplink channel
-//
-//	H[a][k] = H_direct[a](f_k) + s · A · H_ht(f_k) · H_tr[a](f_k)
-//
-// where s ∈ {0, 1} is the tag's switch state, A is the product of the two
-// hop path gains and the tag's differential scattering gain, a indexes
-// reader antennas, and k indexes sub-channels. Observe evolves the fading
-// processes to the query time and returns the complex response the reader's
-// card will measure.
-type Channel struct {
-	cfg      ChannelConfig
-	geo      Geometry
-	offsets  []units.Hertz
-	direct   []*Multipath // per antenna
-	tagRead  []*Multipath // per antenna
-	helpTag  *Multipath
-	ampBack  float64 // amplitude scale of the backscatter term
-	ampDir   float64 // amplitude scale of the direct term
-	scale    float64 // CSI unit conversion
-	antennas int
-}
-
-// NewChannel draws a channel realization for the given geometry. Distances
-// must be positive.
-func NewChannel(cfg ChannelConfig, geo Geometry, stream *rng.Stream) (*Channel, error) {
-	if cfg.Subchannels <= 0 || cfg.Antennas <= 0 {
-		return nil, fmt.Errorf("radio: channel needs positive subchannels and antennas, got %d, %d",
-			cfg.Subchannels, cfg.Antennas)
-	}
-	if geo.HelperToTag <= 0 || geo.TagToReader <= 0 {
-		return nil, fmt.Errorf("radio: geometry distances must be positive: %+v", geo)
-	}
-	c := &Channel{
-		cfg:      cfg,
-		geo:      geo,
-		scale:    cfg.CSIScale,
-		antennas: cfg.Antennas,
-	}
-	c.offsets = make([]units.Hertz, cfg.Subchannels)
-	for k := range c.offsets {
-		c.offsets[k] = units.Hertz(float64(k)-float64(cfg.Subchannels-1)/2) * cfg.SubchannelSpacing
-	}
-	c.direct = make([]*Multipath, cfg.Antennas)
-	c.tagRead = make([]*Multipath, cfg.Antennas)
-	for a := 0; a < cfg.Antennas; a++ {
-		c.direct[a] = NewMultipath(cfg.Multipath, stream.Split(fmt.Sprintf("direct-%d", a)))
-		// The short tag→reader hop is dominated by its line of sight;
-		// keep frequency structure but raise the K factor.
-		trCfg := cfg.Multipath
-		trCfg.RiceK = 10
-		c.tagRead[a] = NewMultipath(trCfg, stream.Split(fmt.Sprintf("tagread-%d", a)))
-	}
-	c.helpTag = NewMultipath(cfg.Multipath, stream.Split("helptag"))
-
-	lambda := cfg.Carrier.Wavelength()
-	// Direct path: room-scale model with walls.
-	c.ampDir = c.cfg.PathLoss.AmplitudeGain(geo.helperReader(), geo.HelperWalls)
-	// Backscatter path: helper→tag (room-scale, walls) then tag→reader
-	// (short free-space hop), times the tag's differential gain.
-	gHT := c.cfg.PathLoss.AmplitudeGain(geo.HelperToTag, geo.HelperWalls)
-	gTR := FreeSpaceAmplitudeGain(geo.TagToReader, lambda)
-	c.ampBack = gHT * gTR * cfg.Antenna.DifferentialGain(lambda)
-	return c, nil
-}
-
-// Subchannels returns the number of sub-channels.
-func (c *Channel) Subchannels() int { return len(c.offsets) }
-
-// Antennas returns the number of reader antennas.
-func (c *Channel) Antennas() int { return c.antennas }
-
-// ModulationDepth returns the ratio of backscatter to direct amplitude
-// scale — a quick figure of merit for link strength at this geometry.
-func (c *Channel) ModulationDepth() float64 {
-	if c.ampDir == 0 {
-		return 0
-	}
-	return c.ampBack / c.ampDir
-}
-
-// Observe returns the composite complex channel in CSI units at absolute
-// time t (seconds) with the tag's switch reflecting (true) or absorbing
-// (false). The result is indexed [antenna][subchannel]. The returned
-// slices are freshly allocated.
-func (c *Channel) Observe(t float64, reflecting bool) [][]complex128 {
-	c.helpTag.EvolveTo(t)
-	out := make([][]complex128, c.antennas)
-	for a := 0; a < c.antennas; a++ {
-		c.direct[a].EvolveTo(t)
-		c.tagRead[a].EvolveTo(t)
-		row := make([]complex128, len(c.offsets))
-		for k, f := range c.offsets {
-			h := c.direct[a].Response(f) * complex(c.ampDir, 0)
-			if reflecting {
-				h += c.helpTag.Response(f) * c.tagRead[a].Response(f) * complex(c.ampBack, 0)
-			}
-			row[k] = h * complex(c.scale, 0)
-		}
-		out[a] = row
-	}
-	return out
 }

@@ -13,33 +13,59 @@ func testGeometry(tagReader units.Meters) Geometry {
 	return Geometry{HelperToTag: 3, TagToReader: tagReader}
 }
 
-func TestNewChannelValidation(t *testing.T) {
+// newOneTag builds a channel with a single tag at geo.TagToReader.
+func newOneTag(t *testing.T, cfg ChannelConfig, geo Geometry, seed int64) *MultiChannel {
+	t.Helper()
+	c, err := NewMultiChannel(cfg, geo, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddTag(geo.TagToReader); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// observeOne observes a one-tag channel with the tag in the given state.
+func observeOne(t *testing.T, c *MultiChannel, at float64, reflecting bool) [][]complex128 {
+	t.Helper()
+	h, err := c.Observe(at, []bool{reflecting})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func TestOneTagChannelValidation(t *testing.T) {
 	cfg := DefaultChannelConfig()
-	if _, err := NewChannel(cfg, Geometry{}, rng.New(1)); err == nil {
+	if _, err := NewMultiChannel(cfg, Geometry{}, rng.New(1)); err == nil {
 		t.Error("zero geometry should error")
 	}
 	bad := cfg
 	bad.Subchannels = 0
-	if _, err := NewChannel(bad, testGeometry(0.05), rng.New(1)); err == nil {
+	if _, err := NewMultiChannel(bad, testGeometry(0.05), rng.New(1)); err == nil {
 		t.Error("zero subchannels should error")
 	}
 	bad = cfg
 	bad.Antennas = 0
-	if _, err := NewChannel(bad, testGeometry(0.05), rng.New(1)); err == nil {
+	if _, err := NewMultiChannel(bad, testGeometry(0.05), rng.New(1)); err == nil {
 		t.Error("zero antennas should error")
+	}
+	c, err := NewMultiChannel(cfg, testGeometry(0), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddTag(0); err == nil {
+		t.Error("zero tag distance should error")
 	}
 }
 
 func TestChannelShape(t *testing.T) {
-	cfg := DefaultChannelConfig()
-	ch, err := NewChannel(cfg, testGeometry(0.05), rng.New(2))
-	if err != nil {
-		t.Fatal(err)
+	ch := newOneTag(t, DefaultChannelConfig(), testGeometry(0.05), 2)
+	if ch.Subchannels() != 30 || ch.Antennas() != 3 || ch.Tags() != 1 {
+		t.Fatalf("shape = (%d, %d, %d tags), want (30, 3, 1 tag)", ch.Subchannels(), ch.Antennas(), ch.Tags())
 	}
-	if ch.Subchannels() != 30 || ch.Antennas() != 3 {
-		t.Fatalf("shape = (%d, %d), want (30, 3)", ch.Subchannels(), ch.Antennas())
-	}
-	obs := ch.Observe(0, false)
+	obs := observeOne(t, ch, 0, false)
 	if len(obs) != 3 || len(obs[0]) != 30 {
 		t.Fatalf("Observe shape = (%d, %d)", len(obs), len(obs[0]))
 	}
@@ -47,9 +73,9 @@ func TestChannelShape(t *testing.T) {
 
 func TestModulationDepthFallsWithDistance(t *testing.T) {
 	cfg := DefaultChannelConfig()
-	near, _ := NewChannel(cfg, testGeometry(0.05), rng.New(3))
-	far, _ := NewChannel(cfg, testGeometry(0.65), rng.New(3))
-	dn, df := near.ModulationDepth(), far.ModulationDepth()
+	near := newOneTag(t, cfg, testGeometry(0.05), 3)
+	far := newOneTag(t, cfg, testGeometry(0.65), 3)
+	dn, df := near.ModulationDepth(0), far.ModulationDepth(0)
 	if dn <= df {
 		t.Fatalf("depth should fall with distance: near %v, far %v", dn, df)
 	}
@@ -63,19 +89,17 @@ func TestModulationDepthMagnitude(t *testing.T) {
 	// At 5 cm the backscatter term should be a visible fraction of the
 	// direct channel (Fig. 3 shows a clear binary modulation), roughly
 	// 10–60%.
-	cfg := DefaultChannelConfig()
-	ch, _ := NewChannel(cfg, testGeometry(0.05), rng.New(4))
-	d := ch.ModulationDepth()
+	ch := newOneTag(t, DefaultChannelConfig(), testGeometry(0.05), 4)
+	d := ch.ModulationDepth(0)
 	if d < 0.05 || d > 1 {
 		t.Errorf("modulation depth at 5 cm = %v, want within [0.05, 1]", d)
 	}
 }
 
 func TestObserveStatesDiffer(t *testing.T) {
-	cfg := DefaultChannelConfig()
-	ch, _ := NewChannel(cfg, testGeometry(0.05), rng.New(5))
-	on := ch.Observe(0, true)
-	off := ch.Observe(0, false)
+	ch := newOneTag(t, DefaultChannelConfig(), testGeometry(0.05), 5)
+	on := observeOne(t, ch, 0, true)
+	off := observeOne(t, ch, 0, false)
 	var diff, base float64
 	for a := range on {
 		for k := range on[a] {
@@ -92,10 +116,9 @@ func TestObserveStatesDiffer(t *testing.T) {
 }
 
 func TestObserveDeterministicAtSameTime(t *testing.T) {
-	cfg := DefaultChannelConfig()
-	ch, _ := NewChannel(cfg, testGeometry(0.1), rng.New(6))
-	a := ch.Observe(1.5, true)
-	b := ch.Observe(1.5, true)
+	ch := newOneTag(t, DefaultChannelConfig(), testGeometry(0.1), 6)
+	a := observeOne(t, ch, 1.5, true)
+	b := observeOne(t, ch, 1.5, true)
 	for ant := range a {
 		for k := range a[ant] {
 			if a[ant][k] != b[ant][k] {
@@ -106,11 +129,10 @@ func TestObserveDeterministicAtSameTime(t *testing.T) {
 }
 
 func TestObserveDriftsOverTime(t *testing.T) {
-	cfg := DefaultChannelConfig()
-	ch, _ := NewChannel(cfg, testGeometry(0.1), rng.New(7))
-	a := ch.Observe(0, false)
-	ch.Observe(5, false) // advance
-	b := ch.Observe(10, false)
+	ch := newOneTag(t, DefaultChannelConfig(), testGeometry(0.1), 7)
+	a := observeOne(t, ch, 0, false)
+	observeOne(t, ch, 5, false) // advance
+	b := observeOne(t, ch, 10, false)
 	var diff float64
 	for ant := range a {
 		for k := range a[ant] {
@@ -127,16 +149,16 @@ func TestHelperWallsReduceDirectAmplitude(t *testing.T) {
 	geoLOS := testGeometry(0.05)
 	geoNLOS := geoLOS
 	geoNLOS.HelperWalls = 2
-	los, _ := NewChannel(cfg, geoLOS, rng.New(8))
-	nlos, _ := NewChannel(cfg, geoNLOS, rng.New(8))
+	los := newOneTag(t, cfg, geoLOS, 8)
+	nlos := newOneTag(t, cfg, geoNLOS, 8)
 	if nlos.ampDir >= los.ampDir {
 		t.Errorf("walls should attenuate direct path: %v >= %v", nlos.ampDir, los.ampDir)
 	}
 	// Walls hit the helper→tag hop too, so modulation depth (the ratio)
 	// is preserved.
-	if math.Abs(nlos.ModulationDepth()-los.ModulationDepth()) > 1e-12 {
+	if math.Abs(nlos.ModulationDepth(0)-los.ModulationDepth(0)) > 1e-12 {
 		t.Errorf("modulation depth changed with walls: %v vs %v",
-			nlos.ModulationDepth(), los.ModulationDepth())
+			nlos.ModulationDepth(0), los.ModulationDepth(0))
 	}
 }
 
@@ -152,8 +174,7 @@ func TestHelperReaderOverride(t *testing.T) {
 }
 
 func TestSubchannelOffsetsCentered(t *testing.T) {
-	cfg := DefaultChannelConfig()
-	ch, _ := NewChannel(cfg, testGeometry(0.05), rng.New(9))
+	ch := newOneTag(t, DefaultChannelConfig(), testGeometry(0.05), 9)
 	var sum units.Hertz
 	for _, f := range ch.offsets {
 		sum += f

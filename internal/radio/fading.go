@@ -126,8 +126,37 @@ func (m *Multipath) EvolveTo(t float64) {
 func (m *Multipath) Response(offset units.Hertz) complex128 {
 	h := m.los
 	for i, tap := range m.taps {
-		phase := -2 * math.Pi * float64(offset) * m.delays[i]
-		h += tap * cmplx.Rect(1, phase)
+		h += tap * phasor(offset, m.delays[i])
+	}
+	return h
+}
+
+// phasor is a tap's rotation e^{-j2π·f·τ} at offset f for delay τ.
+func phasor(offset units.Hertz, delay float64) complex128 {
+	return cmplx.Rect(1, -2*math.Pi*float64(offset)*delay)
+}
+
+// phasorTable tabulates phasor(offsets[k], m.delays[i]) at [k*taps+i], one
+// row of tap rotations per offset.
+func (m *Multipath) phasorTable(offsets []units.Hertz) []complex128 {
+	n := len(m.delays)
+	rot := make([]complex128, len(offsets)*n)
+	for k, f := range offsets {
+		for i, d := range m.delays {
+			rot[k*n+i] = phasor(f, d)
+		}
+	}
+	return rot
+}
+
+// responseFrom is Response at the offset whose phasorTable row is rot. It
+// performs the same operations on the same values in the same order, so
+// its result is bit-identical, without a Sincos per tap.
+func (m *Multipath) responseFrom(rot []complex128) complex128 {
+	rot = rot[:len(m.taps)]
+	h := m.los
+	for i, tap := range m.taps {
+		h += tap * rot[i]
 	}
 	return h
 }

@@ -7,16 +7,25 @@ import (
 	"repro/internal/units"
 )
 
-// MultiChannel generalizes Channel to several tags sharing one reader:
+// MultiChannel is the composite uplink channel of one or more tags
+// sharing a reader:
 //
 //	H[a][k] = H_direct[a](f_k) + Σ_i s_i · A_i · H_ht,i(f_k) · H_tr,i[a](f_k)
 //
-// Each tag contributes its own backscatter path with independent fading,
-// so two tags modulating simultaneously interfere at the reader — the
-// physical basis for inventory collisions (§2's EPC Gen-2 discussion).
+// where s_i ∈ {0, 1} is tag i's switch state, A_i the product of its two
+// hop path gains and its differential scattering gain, a indexes reader
+// antennas and k sub-channels. Each tag contributes its own backscatter
+// path with independent fading, so two tags modulating simultaneously
+// interfere at the reader — the physical basis for inventory collisions
+// (§2's EPC Gen-2 discussion).
 type MultiChannel struct {
-	cfg      ChannelConfig
-	offsets  []units.Hertz
+	cfg     ChannelConfig
+	offsets []units.Hertz
+	// rot is the phasor table every path is evaluated through:
+	// rot[k*taps+i] = e^{-j2π·f_k·τ_i}. All paths are drawn with
+	// cfg.Multipath's Taps and DelaySpread (the tag→reader hop changes
+	// only RiceK), so they share their tap delays and this one table.
+	rot      []complex128
 	direct   []*Multipath
 	ampDir   float64
 	scale    float64
@@ -31,6 +40,10 @@ type tagPath struct {
 	helpTag *Multipath
 	tagRead []*Multipath
 	ampBack float64
+	// help is scratch for helpTag's response on every sub-channel. It
+	// does not depend on the antenna, so ObserveInto evaluates it once
+	// per call.
+	help []complex128
 }
 
 // NewMultiChannel builds a channel with no tags; add them with AddTag. The
@@ -59,6 +72,7 @@ func NewMultiChannel(cfg ChannelConfig, geo Geometry, stream *rng.Stream) (*Mult
 	for a := 0; a < cfg.Antennas; a++ {
 		c.direct[a] = NewMultipath(cfg.Multipath, stream.Split(fmt.Sprintf("direct-%d", a)))
 	}
+	c.rot = c.direct[0].phasorTable(c.offsets)
 	c.ampDir = cfg.PathLoss.AmplitudeGain(geo.helperReader(), geo.HelperWalls)
 	return c, nil
 }
@@ -73,6 +87,7 @@ func (c *MultiChannel) AddTag(tagToReader units.Meters) (int, error) {
 	tp := &tagPath{
 		helpTag: NewMultipath(c.cfg.Multipath, c.stream.Split(fmt.Sprintf("tag%d-helptag", idx))),
 		tagRead: make([]*Multipath, c.antennas),
+		help:    make([]complex128, len(c.offsets)),
 	}
 	trCfg := c.cfg.Multipath
 	trCfg.RiceK = 10
@@ -105,32 +120,63 @@ func (c *MultiChannel) ModulationDepth(i int) float64 {
 }
 
 // Observe returns the composite channel at time t given each tag's switch
-// state. len(reflecting) must equal Tags().
+// state, in freshly allocated rows indexed [antenna][sub-channel].
+// len(reflecting) must equal Tags().
 func (c *MultiChannel) Observe(t float64, reflecting []bool) ([][]complex128, error) {
-	if len(reflecting) != len(c.tags) {
-		return nil, fmt.Errorf("radio: got %d states for %d tags", len(reflecting), len(c.tags))
-	}
-	for _, tp := range c.tags {
-		tp.helpTag.EvolveTo(t)
-	}
 	out := make([][]complex128, c.antennas)
-	for a := 0; a < c.antennas; a++ {
-		c.direct[a].EvolveTo(t)
-		row := make([]complex128, len(c.offsets))
+	for a := range out {
+		out[a] = make([]complex128, len(c.offsets))
+	}
+	if err := c.ObserveInto(out, t, reflecting); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ObserveInto writes the composite channel at time t, given each tag's
+// switch state, into dst, which must have Antennas() rows of
+// Subchannels() entries; every entry is overwritten. The caller owns dst:
+// ObserveInto keeps no reference to it, so one buffer can serve every
+// observation. len(reflecting) must equal Tags().
+func (c *MultiChannel) ObserveInto(dst [][]complex128, t float64, reflecting []bool) error {
+	if len(reflecting) != len(c.tags) {
+		return fmt.Errorf("radio: got %d states for %d tags", len(reflecting), len(c.tags))
+	}
+	if len(dst) != c.antennas {
+		return fmt.Errorf("radio: got %d rows for %d antennas", len(dst), c.antennas)
+	}
+	for _, row := range dst {
+		if len(row) != len(c.offsets) {
+			return fmt.Errorf("radio: got a row of %d for %d sub-channels", len(row), len(c.offsets))
+		}
+	}
+	n := len(c.direct[0].taps)
+	for i, tp := range c.tags {
+		tp.helpTag.EvolveTo(t)
+		if !reflecting[i] {
+			continue
+		}
+		for k := range tp.help {
+			tp.help[k] = tp.helpTag.responseFrom(c.rot[k*n : (k+1)*n])
+		}
+	}
+	for a, row := range dst {
+		direct := c.direct[a]
+		direct.EvolveTo(t)
 		for _, tp := range c.tags {
 			tp.tagRead[a].EvolveTo(t)
 		}
-		for k, f := range c.offsets {
-			h := c.direct[a].Response(f) * complex(c.ampDir, 0)
+		for k := range row {
+			rot := c.rot[k*n : (k+1)*n]
+			h := direct.responseFrom(rot) * complex(c.ampDir, 0)
 			for i, tp := range c.tags {
 				if !reflecting[i] {
 					continue
 				}
-				h += tp.helpTag.Response(f) * tp.tagRead[a].Response(f) * complex(tp.ampBack, 0)
+				h += tp.help[k] * tp.tagRead[a].responseFrom(rot) * complex(tp.ampBack, 0)
 			}
 			row[k] = h * complex(c.scale, 0)
 		}
-		out[a] = row
 	}
-	return out, nil
+	return nil
 }

@@ -101,23 +101,18 @@ func TestMultiChannelDepthFallsWithDistance(t *testing.T) {
 	}
 }
 
-func TestMultiChannelMatchesSingleChannelScale(t *testing.T) {
-	// One-tag MultiChannel and the single-tag Channel share the same
-	// link-budget scales.
+func TestModulationDepthClosedForm(t *testing.T) {
+	// A tag's depth is its backscatter link budget over the direct one:
+	// gHT·gTR·DifferentialGain / ampDir.
 	cfg := DefaultChannelConfig()
-	geo := Geometry{HelperToTag: 3, TagToReader: 0.05}
-	single, err := NewChannel(cfg, geo, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := NewMultiChannel(cfg, geo, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multi.AddTag(0.05); err != nil {
-		t.Fatal(err)
-	}
-	if s, m := single.ModulationDepth(), multi.ModulationDepth(0); math.Abs(s-m) > 1e-12 {
-		t.Errorf("modulation depth mismatch: %v vs %v", s, m)
+	geo := Geometry{HelperToTag: 3, TagToReader: 0.05, HelperWalls: 1}
+	c := newOneTag(t, cfg, geo, 7)
+	lambda := cfg.Carrier.Wavelength()
+	gHT := cfg.PathLoss.AmplitudeGain(geo.HelperToTag, geo.HelperWalls)
+	gTR := FreeSpaceAmplitudeGain(geo.TagToReader, lambda)
+	ampDir := cfg.PathLoss.AmplitudeGain(geo.helperReader(), geo.HelperWalls)
+	want := gHT * gTR * cfg.Antenna.DifferentialGain(lambda) / ampDir
+	if got := c.ModulationDepth(0); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("modulation depth = %v, want %v", got, want)
 	}
 }
