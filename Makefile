@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMessageRoundTrip -fuzztime=10s ./internal/downlink/
 	$(GO) test -fuzz=FuzzScheduleCodec -fuzztime=10s ./internal/faults/
 	$(GO) test -fuzz=FuzzStreamPush -fuzztime=10s ./internal/uplink/
+	$(GO) test -fuzz=FuzzDecodeVariant -fuzztime=10s ./internal/uplink/
 	$(GO) test -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/serve/
 	$(GO) test -fuzz=FuzzConditionTwoPass -fuzztime=10s ./internal/dsp/
 

@@ -13,9 +13,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/units"
+	"repro/internal/uplink"
 )
 
 // benchOpt is the reduced per-iteration scale.
@@ -65,14 +65,14 @@ func BenchmarkFig06RawCSIFar(b *testing.B) {
 
 func BenchmarkFig10aUplinkBERCSI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := eval.UplinkBERvsDistance(core.DecodeCSI, benchOpt)
+		t, err := eval.UplinkBERvsDistance(uplink.StreamCSI, benchOpt)
 		logTable(b, "fig10a", t, err)
 	}
 }
 
 func BenchmarkFig10bUplinkBERRSSI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := eval.UplinkBERvsDistance(core.DecodeRSSI, benchOpt)
+		t, err := eval.UplinkBERvsDistance(uplink.StreamRSSI, benchOpt)
 		logTable(b, "fig10b", t, err)
 	}
 }
@@ -224,7 +224,7 @@ func uplinkSweepOpt(workers int) eval.Options {
 func BenchmarkUplinkSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := eval.UplinkBERvsDistance(core.DecodeCSI, uplinkSweepOpt(1))
+		t, err := eval.UplinkBERvsDistance(uplink.StreamCSI, uplinkSweepOpt(1))
 		logTable(b, "sweep-serial", t, err)
 	}
 }
@@ -232,7 +232,7 @@ func BenchmarkUplinkSweepSerial(b *testing.B) {
 func BenchmarkUplinkSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := eval.UplinkBERvsDistance(core.DecodeCSI, uplinkSweepOpt(0))
+		t, err := eval.UplinkBERvsDistance(uplink.StreamCSI, uplinkSweepOpt(0))
 		logTable(b, "sweep-parallel", t, err)
 	}
 }

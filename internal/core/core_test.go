@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/tag"
 	"repro/internal/units"
 	"repro/internal/uplink"
@@ -93,7 +96,7 @@ func TestUplinkTrialCleanAt5cm(t *testing.T) {
 		BitRate:                100,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             90,
-		Mode:                   DecodeCSI,
+		Mode:                   uplink.StreamCSI,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +115,7 @@ func TestUplinkTrialRSSIAt5cm(t *testing.T) {
 		BitRate:                100,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             90,
-		Mode:                   DecodeRSSI,
+		Mode:                   uplink.StreamRSSI,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +132,7 @@ func TestUplinkTrialFailsFar(t *testing.T) {
 		BitRate:                100,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             90,
-		Mode:                   DecodeCSI,
+		Mode:                   uplink.StreamCSI,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +158,7 @@ func TestBeaconOnlyTrial(t *testing.T) {
 		BitRate:                5,
 		HelperPacketsPerSecond: 50, // 50 beacons/s
 		PayloadLen:             20,
-		Mode:                   DecodeRSSI,
+		Mode:                   uplink.StreamRSSI,
 		UseBeacons:             true,
 	})
 	if err != nil {
@@ -225,12 +228,6 @@ func TestCountBitErrors(t *testing.T) {
 	}
 	if got := CountBitErrors([]bool{true}, []bool{true, true}); got != 1 {
 		t.Errorf("short decode should count missing bits, got %d", got)
-	}
-}
-
-func TestDecodeModeString(t *testing.T) {
-	if DecodeCSI.String() != "CSI" || DecodeRSSI.String() != "RSSI" {
-		t.Error("DecodeMode strings wrong")
 	}
 }
 
@@ -334,22 +331,35 @@ func TestTxLogAndModulationDepth(t *testing.T) {
 }
 
 func TestRunUplinkVariantTrialMatchesPaperVariant(t *testing.T) {
-	spec := UplinkTrialSpec{
-		Config:                 Config{Seed: 37},
-		BitRate:                100,
-		HelperPacketsPerSecond: 1000,
-		PayloadLen:             45,
-	}
-	a, err := RunUplinkTrial(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunUplinkVariantTrial(spec, uplink.PaperVariant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BitErrors != b.BitErrors {
-		t.Errorf("paper variant trial errors = %d, DecodeCSI trial = %d", b.BitErrors, a.BitErrors)
+	// The corrupt profile impairs every channel before conditioning, so
+	// the two trials only agree if the variant decode applies it too.
+	for _, profile := range []string{"", "corrupt"} {
+		var sched *faults.Schedule
+		if profile != "" {
+			var err error
+			if sched, err = faults.ParseSpec(profile); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spec := UplinkTrialSpec{
+			Config:                 Config{Seed: 37, Faults: sched},
+			BitRate:                100,
+			HelperPacketsPerSecond: 1000,
+			PayloadLen:             45,
+		}
+		a, err := RunUplinkTrial(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunUplinkVariantTrial(spec, uplink.PaperVariant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.BitErrors != b.BitErrors || !reflect.DeepEqual(a.Result.Payload, b.Result.Payload) ||
+			math.Float64bits(a.Result.PreambleCorrelation) != math.Float64bits(b.Result.PreambleCorrelation) {
+			t.Errorf("faults %q: paper variant trial (errors %d, corr %v) differs from the DecodeCSI trial (errors %d, corr %v)",
+				profile, b.BitErrors, b.Result.PreambleCorrelation, a.BitErrors, a.Result.PreambleCorrelation)
+		}
 	}
 	if _, err := RunUplinkVariantTrial(UplinkTrialSpec{}, uplink.PaperVariant); err == nil {
 		t.Error("zero spec should error")

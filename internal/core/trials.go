@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/csi"
 	"repro/internal/dsp"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -13,25 +14,6 @@ import (
 
 // This file provides the single-trial workhorses the evaluation harness
 // (internal/eval) sweeps over.
-
-// DecodeMode selects the reader's measurement source.
-type DecodeMode int
-
-// Decode modes.
-const (
-	// DecodeCSI uses per-sub-channel CSI (§3.2).
-	DecodeCSI DecodeMode = iota
-	// DecodeRSSI uses per-antenna RSSI only (§3.3).
-	DecodeRSSI
-)
-
-// String implements fmt.Stringer.
-func (m DecodeMode) String() string {
-	if m == DecodeRSSI {
-		return "RSSI"
-	}
-	return "CSI"
-}
 
 // UplinkTrialSpec configures one uplink transmission trial.
 type UplinkTrialSpec struct {
@@ -45,7 +27,7 @@ type UplinkTrialSpec struct {
 	// PayloadLen in bits (the paper's runs use 90).
 	PayloadLen int
 	// Mode selects CSI or RSSI decoding.
-	Mode DecodeMode
+	Mode uplink.StreamMode
 	// UseBeacons replaces CBR data traffic with AP beacons at
 	// HelperPacketsPerSecond (Fig. 16).
 	UseBeacons bool
@@ -103,42 +85,6 @@ func startHelperTraffic(sys *System, spec UplinkTrialSpec) error {
 	}
 }
 
-// RunUplinkVariantTrial is RunUplinkTrial decoding with an ablated
-// pipeline variant instead of the paper's.
-func RunUplinkVariantTrial(spec UplinkTrialSpec, v uplink.Variant) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec")
-	}
-	sys, err := NewSystem(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := startHelperTraffic(sys, spec); err != nil {
-		return nil, err
-	}
-	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(mod.End() + 0.5)
-	dec, err := sys.UplinkDecoder(spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.DecodeVariant(sys.Series(), mod.Start(), spec.PayloadLen, v)
-	if err != nil {
-		return nil, err
-	}
-	return &UplinkTrialResult{
-		Sent:      payload,
-		Result:    res,
-		BitErrors: CountBitErrors(res.Payload, payload),
-		Detected:  dec.Detected(res),
-		Metrics:   sys.Metrics().Snapshot(),
-	}, nil
-}
-
 // RandomPayload returns a deterministic pseudo-random payload.
 func RandomPayload(n int, seed int64) []bool {
 	rnd := rng.New(seed)
@@ -161,15 +107,15 @@ func CountBitErrors(got, want []bool) int {
 	return errs
 }
 
-// RunUplinkTrial executes one tag transmission over helper traffic and
-// decodes it: build system → warm up traffic → transmit → decode.
-func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec: rate %v, payload %d",
-			spec.BitRate, spec.PayloadLen)
-	}
-	if spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: helper rate must be positive")
+// runTrial is the one uplink trial runner: validate the spec, build the
+// system, start the helper traffic, transmit frame(payload) at 1.0 s, run
+// half a second past the frame, and decode the reader's series with
+// decode.
+func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
+	decode func(dec *uplink.Decoder, s *csi.Series, start float64) (*uplink.Result, error)) (*UplinkTrialResult, error) {
+	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
+		return nil, fmt.Errorf("core: invalid trial spec: rate %v, payload %d, helper rate %v",
+			spec.BitRate, spec.PayloadLen, spec.HelperPacketsPerSecond)
 	}
 	sys, err := NewSystem(spec.Config)
 	if err != nil {
@@ -180,7 +126,7 @@ func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
 	}
 	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
 	const txStart = 1.0 // warm-up so the conditioning window has context
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), txStart, spec.BitRate)
+	mod, err := sys.TransmitUplink(frame(payload), txStart, spec.BitRate)
 	if err != nil {
 		return nil, err
 	}
@@ -189,13 +135,7 @@ func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res *uplink.Result
-	switch spec.Mode {
-	case DecodeRSSI:
-		res, err = dec.DecodeRSSI(sys.Series(), mod.Start(), spec.PayloadLen)
-	default:
-		res, err = dec.DecodeCSI(sys.Series(), mod.Start(), spec.PayloadLen)
-	}
+	res, err := decode(dec, sys.Series(), mod.Start())
 	if err != nil {
 		return nil, err
 	}
@@ -206,95 +146,57 @@ func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
 		Detected:  dec.Detected(res),
 		Metrics:   sys.Metrics().Snapshot(),
 	}, nil
+}
+
+// RunUplinkTrial executes one tag transmission over helper traffic and
+// decodes it in spec.Mode: build system → warm up traffic → transmit →
+// decode.
+func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
+	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, s *csi.Series, start float64) (*uplink.Result, error) {
+		if spec.Mode == uplink.StreamRSSI {
+			return dec.DecodeRSSI(s, start, spec.PayloadLen)
+		}
+		return dec.DecodeCSI(s, start, spec.PayloadLen)
+	})
+}
+
+// RunUplinkVariantTrial is RunUplinkTrial decoding the CSI with an
+// ablated pipeline variant instead of the paper's.
+func RunUplinkVariantTrial(spec UplinkTrialSpec, v uplink.Variant) (*UplinkTrialResult, error) {
+	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, s *csi.Series, start float64) (*uplink.Result, error) {
+		return dec.DecodeVariant(s, start, spec.PayloadLen, v)
+	})
 }
 
 // RunSingleChannelTrial is RunUplinkTrial but decoding from exactly one
 // (antenna, sub-channel) pair — the Fig. 5 / Fig. 11 baseline.
 func RunSingleChannelTrial(spec UplinkTrialSpec, antenna, subchannel int) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec")
-	}
-	sys, err := NewSystem(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := (&wifi.CBRSource{
-		Station:  sys.Helper,
-		Dst:      wifi.MAC{0x02, 0, 0, 0, 0, 9},
-		Payload:  200,
-		Interval: 1 / spec.HelperPacketsPerSecond,
-	}).Start(); err != nil {
-		return nil, err
-	}
-	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(mod.End() + 0.5)
-	dec, err := sys.UplinkDecoder(spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.DecodeSingleChannel(sys.Series(), mod.Start(), spec.PayloadLen, antenna, subchannel)
-	if err != nil {
-		return nil, err
-	}
-	return &UplinkTrialResult{
-		Sent:      payload,
-		Result:    res,
-		BitErrors: CountBitErrors(res.Payload, payload),
-		Detected:  dec.Detected(res),
-		Metrics:   sys.Metrics().Snapshot(),
-	}, nil
+	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, s *csi.Series, start float64) (*uplink.Result, error) {
+		return dec.DecodeSingleChannel(s, start, spec.PayloadLen, antenna, subchannel)
+	})
 }
 
 // RunLongRangeTrial executes one coded long-range transmission (§3.4) with
 // orthogonal codes of length codeLen and returns the bit error count.
 func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec")
-	}
 	code0, code1, err := dsp.WalshPair(codeLen)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystem(spec.Config)
-	if err != nil {
-		return nil, err
+	frame := func(payload []bool) []bool {
+		chips := tag.ExpandWithCodes(payload, code0, code1)
+		f := make([]bool, 0, 26+len(chips))
+		f = append(f, tag.Preamble...)
+		f = append(f, chips...)
+		return append(f, tag.Postamble...)
 	}
-	if err := (&wifi.CBRSource{
-		Station:  sys.Helper,
-		Dst:      wifi.MAC{0x02, 0, 0, 0, 0, 9},
-		Payload:  200,
-		Interval: 1 / spec.HelperPacketsPerSecond,
-	}).Start(); err != nil {
-		return nil, err
-	}
-	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	chips := tag.ExpandWithCodes(payload, code0, code1)
-	frame := make([]bool, 0, 26+len(chips))
-	frame = append(frame, tag.Preamble...)
-	frame = append(frame, chips...)
-	frame = append(frame, tag.Postamble...)
-	mod, err := sys.TransmitUplink(frame, 1.0, spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(mod.End() + 0.5)
-	dec, err := sys.UplinkDecoder(spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.DecodeLongRange(sys.Series(), mod.Start(), spec.PayloadLen, code0, code1)
-	if err != nil {
-		return nil, err
-	}
-	return &UplinkTrialResult{
-		Sent:      payload,
-		Result:    &uplink.Result{Payload: res.Payload, Good: res.Good, PreambleCorrelation: 1},
-		BitErrors: CountBitErrors(res.Payload, payload),
-		Detected:  true,
-		Metrics:   sys.Metrics().Snapshot(),
-	}, nil
+	return runTrial(spec, frame, func(dec *uplink.Decoder, s *csi.Series, start float64) (*uplink.Result, error) {
+		res, err := dec.DecodeLongRange(s, start, spec.PayloadLen, code0, code1)
+		if err != nil {
+			return nil, err
+		}
+		// The chip correlator has no preamble score; report full
+		// correlation so the trial counts as detected.
+		return &uplink.Result{Payload: res.Payload, Good: res.Good, PreambleCorrelation: 1}, nil
+	})
 }

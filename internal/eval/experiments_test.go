@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/units"
+	"repro/internal/uplink"
 )
 
 // quickOpt keeps experiment tests fast while exercising the full paths.
@@ -24,7 +24,7 @@ func berCell(t *testing.T, cell string) float64 {
 }
 
 func TestUplinkBERvsDistanceShape(t *testing.T) {
-	tab, err := UplinkBERvsDistance(core.DecodeCSI, quickOpt)
+	tab, err := UplinkBERvsDistance(uplink.StreamCSI, quickOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tag"
 	"repro/internal/units"
+	"repro/internal/uplink"
 	"repro/internal/wifi"
 )
 
@@ -193,7 +194,7 @@ func BeaconOnly(opt Options) (*Table, error) {
 				BitRate:                rate,
 				HelperPacketsPerSecond: br,
 				PayloadLen:             payload,
-				Mode:                   core.DecodeRSSI,
+				Mode:                   uplink.StreamRSSI,
 				UseBeacons:             true,
 			})
 			if err != nil {

@@ -5,10 +5,10 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/units"
+	"repro/internal/uplink"
 )
 
 // Suite runs every experiment in the paper's evaluation and prints the
@@ -81,10 +81,10 @@ func (s Suite) Experiments() []Experiment {
 			return t, err
 		}},
 		{"fig10a", "uplink BER vs distance (CSI)", func() (*Table, error) {
-			return UplinkBERvsDistance(core.DecodeCSI, opt)
+			return UplinkBERvsDistance(uplink.StreamCSI, opt)
 		}},
 		{"fig10b", "uplink BER vs distance (RSSI)", func() (*Table, error) {
-			return UplinkBERvsDistance(core.DecodeRSSI, opt)
+			return UplinkBERvsDistance(uplink.StreamRSSI, opt)
 		}},
 		{"fig11", "frequency diversity ablation", func() (*Table, error) {
 			return FrequencyDiversity(opt)

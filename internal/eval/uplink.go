@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/tag"
 	"repro/internal/units"
+	"repro/internal/uplink"
 	"repro/internal/wifi"
 )
 
@@ -66,10 +68,10 @@ const helperRate = 1000
 
 // UplinkBERvsDistance reproduces Fig. 10(a) (CSI) or Fig. 10(b) (RSSI):
 // BER at each distance for 30, 6, and 3 packets per bit.
-func UplinkBERvsDistance(mode core.DecodeMode, opt Options) (*Table, error) {
+func UplinkBERvsDistance(mode uplink.StreamMode, opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
-		Title: fmt.Sprintf("Figure 10%s: uplink BER vs distance (%s)", figSuffix(mode), mode),
+		Title: fmt.Sprintf("Figure 10%s: uplink BER vs distance (%s)", figSuffix(mode), strings.ToUpper(mode.String())),
 		Note: "paper: BER < 1e-2 up to ~65 cm (CSI) and ~30 cm (RSSI) at 30 pkts/bit; " +
 			"BER rises with distance and falls with packets/bit",
 		Columns: []string{"distance", "30 pkt/bit", "6 pkt/bit", "3 pkt/bit"},
@@ -140,8 +142,8 @@ func UplinkBERvsDistance(mode core.DecodeMode, opt Options) (*Table, error) {
 	return t, nil
 }
 
-func figSuffix(mode core.DecodeMode) string {
-	if mode == core.DecodeRSSI {
+func figSuffix(mode uplink.StreamMode) string {
+	if mode == uplink.StreamRSSI {
 		return "b"
 	}
 	return "a"
@@ -175,7 +177,7 @@ func FrequencyDiversity(opt Options) (*Table, error) {
 				BitRate:                helperRate / 30,
 				HelperPacketsPerSecond: helperRate,
 				PayloadLen:             opt.PayloadLen,
-				Mode:                   core.DecodeCSI,
+				Mode:                   uplink.StreamCSI,
 			}
 			full, err := core.RunUplinkTrial(spec)
 			if err != nil {
@@ -280,7 +282,7 @@ func RateVsHelperRate(opt Options) (*Table, error) {
 				BitRate:                rate,
 				HelperPacketsPerSecond: hr,
 				PayloadLen:             opt.PayloadLen,
-				Mode:                   core.DecodeCSI,
+				Mode:                   uplink.StreamCSI,
 			})
 			if err != nil {
 				return 0, 0, err

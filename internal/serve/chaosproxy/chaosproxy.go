@@ -347,7 +347,7 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.apply(c.lane.c2s, b, true)
+	return c.apply(c.lane.c2s, b)
 }
 
 // Read applies the s2c engine to bytes already delivered by the
@@ -398,7 +398,7 @@ func (c *chaosConn) Read(b []byte) (int, error) {
 }
 
 // apply runs the write path through a direction engine.
-func (c *chaosConn) apply(e *dirEngine, b []byte, countSplits bool) (int, error) {
+func (c *chaosConn) apply(e *dirEngine, b []byte) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	written := 0
@@ -440,9 +440,7 @@ func (c *chaosConn) apply(e *dirEngine, b []byte, countSplits bool) (int, error)
 			if owned {
 				c.wbuf = c.wbuf[k:]
 			}
-			if countSplits {
-				c.p.splitsExecuted.Add(1)
-			}
+			c.p.splitsExecuted.Add(1)
 			e.next++
 		case opStall:
 			n, err := c.Conn.Write(b[:k])

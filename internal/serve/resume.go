@@ -251,7 +251,7 @@ func (srv *Server) ResumeSession(token string, c closer) (*Session, uint32, erro
 	// (or a live connection being hijacked); past it the transport is
 	// closed and the handler's exit awaited.
 	if ch := s.producerExit(); ch != nil {
-		timer := time.NewTimer(srv.cfg.resumeDrainWait())
+		timer := time.NewTimer(DefaultResumeDrainWait)
 		select {
 		case <-ch:
 		case <-timer.C:

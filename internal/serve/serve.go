@@ -192,14 +192,6 @@ type Config struct {
 	// TokenSeed salts resume tokens so they are stable per server config,
 	// not guessable across deployments. Zero is a valid seed.
 	TokenSeed uint64
-	// ResumeDrainWait bounds how long ResumeSession waits for the old
-	// connection's handler to drain its delivered lines and exit on its
-	// own EOF before force-closing the transport. The natural-EOF path
-	// is what makes the resume cursor deterministic (the cut's FIN
-	// arrives behind every delivered byte); the bound only fires for a
-	// peer that vanished without FIN or a live connection being
-	// hijacked. Zero means DefaultResumeDrainWait.
-	ResumeDrainWait time.Duration
 	// StallTimeout arms the stuck-stream watchdog: a session whose worker
 	// makes no progress for this long while input is pending (queued
 	// slots, or a producer blocked on a full ring) is aborted with
@@ -214,20 +206,26 @@ type Config struct {
 	// degrades only at the hard cap, still with priority preemption and
 	// retry-after hints).
 	ShedThreshold float64
-	// RetryAfterBase scales the machine-readable retry-after hint
-	// attached to ErrOverloaded/ErrBufferFull rejections; the hint grows
-	// with measured pressure. Zero means DefaultRetryAfterBase.
-	RetryAfterBase time.Duration
 }
 
-// Defaults for Config's zero fields.
+// Defaults for Config's zero fields, and two fixed serving constants.
 const (
-	DefaultMaxSessions     = 64
-	DefaultSessionBuffer   = 256
-	DefaultDrainTimeout    = 5 * time.Second
-	DefaultResumeTTL       = 2 * time.Minute
-	DefaultMaxParked       = 256
-	DefaultRetryAfterBase  = 500 * time.Millisecond
+	DefaultMaxSessions   = 64
+	DefaultSessionBuffer = 256
+	DefaultDrainTimeout  = 5 * time.Second
+	DefaultResumeTTL     = 2 * time.Minute
+	DefaultMaxParked     = 256
+	// DefaultRetryAfterBase scales the machine-readable retry-after hint
+	// attached to ErrOverloaded/ErrBufferFull rejections; the hint grows
+	// with measured pressure.
+	DefaultRetryAfterBase = 500 * time.Millisecond
+	// DefaultResumeDrainWait bounds how long ResumeSession waits for the
+	// old connection's handler to drain its delivered lines and exit on
+	// its own EOF before force-closing the transport. The natural-EOF
+	// path is what makes the resume cursor deterministic (the cut's FIN
+	// arrives behind every delivered byte); the bound only fires for a
+	// peer that vanished without FIN or a live connection being
+	// hijacked.
 	DefaultResumeDrainWait = 5 * time.Second
 )
 
@@ -266,13 +264,6 @@ func (c Config) maxParked() int {
 	return c.MaxParked
 }
 
-func (c Config) resumeDrainWait() time.Duration {
-	if c.ResumeDrainWait <= 0 {
-		return DefaultResumeDrainWait
-	}
-	return c.ResumeDrainWait
-}
-
 func (c Config) watchdogPoll() time.Duration {
 	if c.WatchdogPoll > 0 {
 		return c.WatchdogPoll
@@ -282,13 +273,6 @@ func (c Config) watchdogPoll() time.Duration {
 		p = time.Millisecond
 	}
 	return p
-}
-
-func (c Config) retryAfterBase() time.Duration {
-	if c.RetryAfterBase <= 0 {
-		return DefaultRetryAfterBase
-	}
-	return c.RetryAfterBase
 }
 
 // Server states: the drain state machine (DESIGN.md §12).

@@ -45,7 +45,7 @@ func (srv *Server) retryErr(base error, pressure float64) error {
 	if pressure > 1 {
 		pressure = 1
 	}
-	after := time.Duration((0.5 + 1.5*pressure) * float64(srv.cfg.retryAfterBase()))
+	after := time.Duration((0.5 + 1.5*pressure) * float64(DefaultRetryAfterBase))
 	srv.met.retryHints.Add(1)
 	return &RetryError{Err: base, After: after}
 }

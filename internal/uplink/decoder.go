@@ -346,24 +346,22 @@ func (d *Decoder) Config() Config { return d.cfg }
 // only decode implementation, and its output is byte-identical however the
 // same series is chunked into pushes.
 func (d *Decoder) DecodeCSI(s *csi.Series, start float64, payloadLen int) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
-	}
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("uplink: empty measurement series")
-	}
-	if err := s.CheckShape(); err != nil {
-		return nil, err
-	}
-	return d.pushAll(s, start, payloadLen, StreamCSI, false, 0, 0)
+	return d.decodeSeries(s, start, payloadLen, StreamCSI, PaperVariant)
 }
 
 // DecodeRSSI decodes using only RSSI: the antenna with the best preamble
 // correlation is selected (§3.3) and decoded alone. Like DecodeCSI it is a
 // thin wrapper over the streaming core.
 func (d *Decoder) DecodeRSSI(s *csi.Series, start float64, payloadLen int) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
+	return d.decodeSeries(s, start, payloadLen, StreamRSSI, PaperVariant)
+}
+
+// decodeSeries validates a whole series and decodes it through the
+// streaming core in the given mode and pipeline variant.
+func (d *Decoder) decodeSeries(s *csi.Series, start float64, payloadLen int, mode StreamMode, v Variant) (*Result, error) {
+	sd, err := d.newStream(start, payloadLen, mode, false, 0, 0)
+	if err != nil {
+		return nil, err
 	}
 	if s.Len() == 0 {
 		return nil, fmt.Errorf("uplink: empty measurement series")
@@ -371,18 +369,15 @@ func (d *Decoder) DecodeRSSI(s *csi.Series, start float64, payloadLen int) (*Res
 	if err := s.CheckShape(); err != nil {
 		return nil, err
 	}
-	return d.pushAll(s, start, payloadLen, StreamRSSI, false, 0, 0)
+	sd.v = v
+	return sd.pushAll(s)
 }
 
 // pushAll drives the streaming core over a whole series: push every
 // measurement, then flush. Push and the batch wrappers share one
 // timestamp contract — non-decreasing, equal timestamps legal — matching
 // what csi.Series.Append documents for the capture side.
-func (d *Decoder) pushAll(s *csi.Series, start float64, payloadLen int, mode StreamMode, single bool, antenna, subchannel int) (*Result, error) {
-	sd, err := d.newStream(start, payloadLen, mode, single, antenna, subchannel)
-	if err != nil {
-		return nil, err
-	}
+func (sd *StreamDecoder) pushAll(s *csi.Series) (*Result, error) {
 	for _, m := range s.Measurements {
 		if _, err := sd.Push(m); err != nil {
 			return nil, err
@@ -392,23 +387,29 @@ func (d *Decoder) pushAll(s *csi.Series, start float64, payloadLen int, mode Str
 }
 
 // combineAndDecide ranks channels by |preamble correlation|, keeps the top
-// G, and decides bits.
-func (d *Decoder) combineAndDecide(stats []channelStats, bins [][]int, payloadLen int) (*Result, error) {
+// G (one for CombineBestSingle), and decides bits.
+func (d *Decoder) combineAndDecide(stats []channelStats, bins [][]int, payloadLen int, v Variant) (*Result, error) {
 	//wblint:ignore HP002 the comparator runs once per frame close, not per push; sort.Slice's unstable tie order is pinned by the golden traces
 	sort.Slice(stats, func(i, j int) bool { //wblint:ignore HP001 boxing the slice header is once per frame close, not per push; see the HP002 reason above
 		return math.Abs(stats[i].corr) > math.Abs(stats[j].corr)
 	})
 	g := d.cfg.GoodSubchannels
+	if v.Combining == CombineBestSingle {
+		g = 1
+	}
 	if g > len(stats) {
 		g = len(stats)
 	}
 	d.met.channelsRejected.Add(int64(len(stats) - g))
-	return d.combineSelected(stats[:g], bins, payloadLen)
+	return d.combineSelected(stats[:g], bins, payloadLen, v)
 }
 
-// combineSelected performs MRC over the selected channels and decodes the
-// payload bits with hysteresis + majority voting.
-func (d *Decoder) combineSelected(sel []channelStats, bins [][]int, payloadLen int) (*Result, error) {
+// combineSelected combines the selected channels and decides the payload
+// bits. The paper's variant weights each channel by 1/σ² (MRC), turns the
+// combined series into ±1 decisions with hysteresis, and majority-votes
+// each bit; the other variants swap in equal weights, a plain vote over the
+// combined values, or the sign of each bit's sum.
+func (d *Decoder) combineSelected(sel []channelStats, bins [][]int, payloadLen int, v Variant) (*Result, error) {
 	if len(sel) == 0 {
 		return nil, fmt.Errorf("uplink: no channels to combine")
 	}
@@ -420,39 +421,41 @@ func (d *Decoder) combineSelected(sel []channelStats, bins [][]int, payloadLen i
 	defer dsp.PutSlice(combined)
 	for _, st := range sel {
 		w := st.sign / st.variance
-		for t, v := range st.cond {
-			combined[t] += w * v
+		if v.Combining == CombineEqualGain {
+			w = st.sign
+		}
+		for t, x := range st.cond {
+			combined[t] += w * x
 		}
 	}
-	// Hysteresis thresholds from the combined series statistics
-	// (µ ± σ/2, §3.2). The scale estimator is the mean absolute
-	// deviation: for the bimodal ±A series it gives ~A (a dead zone of
-	// ±A/2, as intended), it stays centered between the lobes even for
-	// unbalanced payloads (unlike the median), and heavy-tailed spurious
-	// CSI jumps inflate it only linearly (unlike the standard
-	// deviation).
-	mu := dsp.Mean(combined)
-	sd := dsp.MeanAbsDev(combined)
-	hyst := dsp.NewHysteresis(mu, sd)
-	decisions := dsp.GetSlice(n)
-	defer dsp.PutSlice(decisions)
-	var flips int64
-	prev := 0
-	for t, v := range combined {
-		cur := -1
-		if hyst.Update(v) {
-			cur = 1
+	if v.Decision == DecideHysteresisVote {
+		// Hysteresis thresholds from the combined series statistics
+		// (µ ± σ/2, §3.2). The scale estimator is the mean absolute
+		// deviation: for the bimodal ±A series it gives ~A (a dead zone
+		// of ±A/2, as intended), it stays centered between the lobes even
+		// for unbalanced payloads (unlike the median), and heavy-tailed
+		// spurious CSI jumps inflate it only linearly (unlike the
+		// standard deviation). Each ±1 decision overwrites the combined
+		// value it was made from, which the comparator has already read.
+		hyst := dsp.NewHysteresis(dsp.Mean(combined), dsp.MeanAbsDev(combined))
+		var flips int64
+		prev := 0
+		for t, x := range combined {
+			cur := -1
+			if hyst.Update(x) {
+				cur = 1
+			}
+			combined[t] = float64(cur)
+			if t > 0 && cur != prev {
+				flips++
+			}
+			prev = cur
 		}
-		decisions[t] = float64(cur)
-		if t > 0 && cur != prev {
-			flips++
-		}
-		prev = cur
+		d.met.bitsFlipped.Add(flips)
 	}
-	d.met.bitsFlipped.Add(flips)
-	// Majority vote per payload bit. Decisions are ±1, so counting the
-	// positive ones in place is exactly dsp.MajorityVote without the
-	// per-bit vote slice.
+	// Decide each payload bit from its bin. Counting the positive values
+	// in place is exactly dsp.MajorityVote without the per-bit vote slice.
+	mean := v.Decision == DecideBitMean
 	payload := make([]bool, payloadLen)
 	var measured float64
 	var empty int64
@@ -461,13 +464,21 @@ func (d *Decoder) combineSelected(sel []channelStats, bins [][]int, payloadLen i
 		if len(bin) == 0 {
 			empty++
 		}
-		pos := 0
-		for _, idx := range bin {
-			if decisions[idx] > 0 {
-				pos++
+		if mean {
+			var sum float64
+			for _, idx := range bin {
+				sum += combined[idx]
 			}
+			payload[b] = sum > 0
+		} else {
+			pos := 0
+			for _, idx := range bin {
+				if combined[idx] > 0 {
+					pos++
+				}
+			}
+			payload[b] = pos*2 > len(bin)
 		}
-		payload[b] = pos*2 > len(bin)
 		measured += float64(len(bin))
 	}
 	res := &Result{
@@ -509,8 +520,9 @@ func (d *Decoder) NormalizedChannel(s *csi.Series, antenna, subchannel int) ([]f
 // the "Random-Subchannel" baseline of Fig. 11 and the per-sub-channel BER
 // probe of Fig. 5. It too wraps the streaming core.
 func (d *Decoder) DecodeSingleChannel(s *csi.Series, start float64, payloadLen, antenna, subchannel int) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
+	sd, err := d.newStream(start, payloadLen, StreamCSI, true, antenna, subchannel)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.CheckShape(); err != nil {
 		return nil, err
@@ -518,5 +530,5 @@ func (d *Decoder) DecodeSingleChannel(s *csi.Series, start float64, payloadLen, 
 	if err := s.ValidateCSIChannel(antenna, subchannel); err != nil {
 		return nil, err
 	}
-	return d.pushAll(s, start, payloadLen, StreamCSI, true, antenna, subchannel)
+	return sd.pushAll(s)
 }

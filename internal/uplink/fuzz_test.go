@@ -252,3 +252,47 @@ func FuzzDecodeLongRange(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeVariant pins every pipeline variant, decoded through the
+// streaming core, bit for bit to the hand-written reference pipeline
+// (refDecodeVariant) over synthSeries transmissions of fuzzed depth,
+// timing jitter and seed. Seeds live in testdata/fuzz/FuzzDecodeVariant.
+func FuzzDecodeVariant(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, depth, jitter float64, variantBits uint8) {
+		// synthSeries steps time by interval·(1 + jitter·(u − 0.5)), so
+		// jitter must stay below 2 for time to advance.
+		if math.IsNaN(depth) || math.IsInf(depth, 0) {
+			depth = 0.2
+		}
+		if math.IsNaN(jitter) || math.IsInf(jitter, 0) {
+			jitter = 0.3
+		}
+		depth = math.Mod(math.Abs(depth), 1)
+		jitter = math.Mod(math.Abs(jitter), 1.8)
+		v := Variant{
+			Combining: Combining(variantBits % 3),
+			Decision:  Decision(variantBits / 3 % 3),
+			Binning:   Binning(variantBits / 9 % 2),
+		}
+		cfg := defaultSynth()
+		cfg.subchannels = 8
+		cfg.depth, cfg.jitter = depth, jitter
+		const payloadLen = 24
+		s, mod := variantTrial(cfg, payloadLen, seed)
+		d, err := NewDecoder(DefaultConfig(0.01))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := d.DecodeVariant(s, mod.Start(), payloadLen, v)
+		want, wantErr := d.refDecodeVariant(s, mod.Start(), payloadLen, v)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%v: error %v, reference error %v", v, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if diff := sameResult(got, want); diff != "" {
+			t.Errorf("%v: %s", v, diff)
+		}
+	})
+}

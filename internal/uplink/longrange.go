@@ -81,9 +81,13 @@ func (d *Decoder) DecodeLongRange(s *csi.Series, start float64, payloadLen int, 
 			if err != nil {
 				return nil, err
 			}
+			id := ChannelID{a, k}
+			if d.Impair != nil {
+				d.Impair.ImpairChannel(id, ts, raw[lo:hi])
+			}
 			dsp.ConditionTwoPassInto(cond, raw[lo:hi], windowSamples(ts, d.cfg.windowFor(nChips)))
 			means, ok := binMeans(cond, bins)
-			channels = append(channels, chipChannel{id: ChannelID{a, k}, means: means, ok: ok})
+			channels = append(channels, chipChannel{id: id, means: means, ok: ok})
 		}
 	}
 

@@ -105,3 +105,29 @@ func TestLongRangeMarginsPopulated(t *testing.T) {
 		t.Error("good channel list empty")
 	}
 }
+
+func TestDecodeLongRangeAppliesImpairment(t *testing.T) {
+	const L, payloadLen, chipDur = 4, 6, 0.005
+	payload := randomPayload(payloadLen, 3)
+	code0, code1, err := dsp.WalshPair(L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips := tag.ExpandWithCodes(payload, code0, code1)
+	frame := append(append(append([]bool{}, tag.Preamble...), chips...), tag.Postamble...)
+	mod, err := tag.NewModulator(frame, 1.0, chipDur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultSynth()
+	cfg.antennas, cfg.subchannels = 2, 5
+	cfg.duration = mod.End() + 0.5
+	s := synthSeries(cfg, mod, 9)
+	d, _ := NewDecoder(DefaultConfig(chipDur))
+	rec := newRecordingImpairment()
+	d.Impair = rec
+	if _, err := d.DecodeLongRange(s, mod.Start(), payloadLen, code0, code1); err != nil {
+		t.Fatal(err)
+	}
+	rec.check(t, s, mod.Start(), mod.End())
+}

@@ -1,10 +1,12 @@
 package uplink
 
 // This file is the incremental streaming core of the decoder. Every batch
-// entry point (DecodeCSI, DecodeRSSI, DecodeSingleChannel) is a thin
-// push-all-then-flush wrapper over StreamDecoder, so there is exactly one
-// decode implementation; see DESIGN.md §10 for the architecture and the
-// equivalence argument.
+// entry point (DecodeCSI, DecodeRSSI, DecodeSingleChannel, DecodeVariant)
+// is a thin push-all-then-flush wrapper over StreamDecoder, so there is
+// exactly one decode implementation of the §3.2 pipeline; only the
+// long-range chip-code decoder (DecodeLongRange, §3.4) is a separate
+// algorithm. See DESIGN.md §10 for the architecture and the equivalence
+// argument.
 //
 // The memory contract: a StreamDecoder buffers only the measurements that
 // fall inside the expected frame window [start, start+nbits·BitDuration).
@@ -83,6 +85,10 @@ type StreamDecoder struct {
 	// DecodeSingleChannel baseline).
 	single              bool
 	antenna, subchannel int
+	// v is the pipeline variant (binning, combining, decision rule);
+	// only DecodeVariant sets it, every other entry point runs the
+	// paper's zero variant.
+	v Variant
 
 	start, end float64
 	payloadLen int
@@ -347,12 +353,18 @@ func (sd *StreamDecoder) release() {
 // implementation behind every entry point. The numerics and the metric
 // increments are exactly the historical batch decode's: bin by timestamp,
 // impair + condition + score each channel in scan order, select, MRC,
-// hysteresis, vote.
+// hysteresis, vote. The stream's variant swaps the binning here and the
+// selection, weights and decision rule in combineAndDecide.
 func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.decoded = true
 	d := sd.d
 	ts := sd.ts[:sd.n]
-	bins := binByTimestamp(ts, sd.start, d.cfg.BitDuration, sd.nbits)
+	var bins [][]int
+	if sd.v.Binning == BinEqualCount {
+		bins = binEqualCount(ts, sd.start, d.cfg.BitDuration, sd.nbits)
+	} else {
+		bins = binByTimestamp(ts, sd.start, d.cfg.BitDuration, sd.nbits)
+	}
 	var res *Result
 	var err error
 	switch {
@@ -364,7 +376,7 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 		}
 		st := analyzeChannel(id, raw, ts, bins, d.cfg)
 		d.met.channelsAnalyzed.Inc()
-		res, err = d.combineSelected([]channelStats{st}, bins, sd.payloadLen)
+		res, err = d.combineSelected([]channelStats{st}, bins, sd.payloadLen, sd.v)
 		dsp.PutSlice(st.cond)
 	case sd.mode == StreamRSSI:
 		stats := make([]channelStats, 0, sd.ants)
@@ -385,7 +397,7 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 				return math.Abs(stats[i].corr) > math.Abs(stats[j].corr)
 			})
 			d.met.channelsRejected.Add(int64(len(stats) - 1))
-			res, err = d.combineSelected(stats[:1], bins, sd.payloadLen)
+			res, err = d.combineSelected(stats[:1], bins, sd.payloadLen, sd.v)
 		}
 		releaseStats(stats)
 	default:
@@ -401,7 +413,7 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 				d.met.channelsAnalyzed.Inc()
 			}
 		}
-		res, err = d.combineAndDecide(stats, bins, sd.payloadLen)
+		res, err = d.combineAndDecide(stats, bins, sd.payloadLen, sd.v)
 		releaseStats(stats)
 	}
 	sd.release()
